@@ -2,22 +2,24 @@
 
 Subcommands:
   run             execute a configured experiment
-  index build     validate a KB dump and build a pickled index
+  index build     validate a KB dump, index it and write its stats
   enrich preview  show a document before and after enrichment
   report          build an improvement table from saved metrics files
+
+Bad input (a config, dump, corpus or metrics file) ends in one
+``error: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .enrich import Strategy, enrich_e1, enrich_e2, enrich_e3
+from .config import load_config
+from .enrich import strategy_outputs
 from .experiment import (
     StageError,
     improvement_table_from_files,
@@ -27,8 +29,6 @@ from .experiment import (
     run_experiment,
 )
 from .kbindex import KbIndex, load_kb_dump
-
-logger = logging.getLogger(__name__)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -53,11 +53,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     index = KbIndex(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "index.pkl", "wb") as fh:
-        pickle.dump(index, fh)
-    stats = [f"records\t{len(index)}"]
-    with open(out / "index_stats.tsv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(stats) + "\n")
+    (out / "index_stats.tsv").write_text(f"records\t{len(index)}\n", encoding="utf-8")
     print(f"indexed {len(index)} records into {out}")
     return 0
 
@@ -79,17 +75,7 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
     injected = [t.surface for t, _ in prepared.tokens if t.injected]
     print(f"representation {preset.representation.value}: {' '.join(original)}")
     if index is not None:
-        for strategy in (Strategy.E1, Strategy.E2, Strategy.E3):
-            if strategy not in preset.strategies:
-                continue
-            if strategy is Strategy.E1:
-                out = enrich_e1(prepared, index, preset.k)
-            elif strategy is Strategy.E2:
-                out = enrich_e2(prepared, index, preset.k,
-                                preset.title_term, preset.min_rank)
-            else:
-                out = enrich_e3(prepared, index, preset.k,
-                                preset.title_term, preset.min_rank)
+        for strategy, out in strategy_outputs(prepared, preset, index):
             print(f"{strategy.value} titles: {out.titles}")
             print(f"{strategy.value} categories: {out.categories}")
             print(f"{strategy.value} linked concepts: {out.linked_concepts}")
@@ -168,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, StageError, FileNotFoundError) as exc:
+    except (ValueError, OSError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

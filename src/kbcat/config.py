@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .enrich import PRESETS, Preset, Strategy
 from .textproc import (
@@ -68,13 +69,10 @@ class ExperimentConfig:
             return PRESETS[self.preset]
         if self.preset != "custom":
             raise ConfigError(f"unknown preset {self.preset!r}")
-        strategies = frozenset(
-            Strategy(s.strip()) for s in self.strategies.split(",") if s.strip()
-        )
         return Preset(
             name="custom",
             representation=Representation(self.representation),
-            strategies=strategies,
+            strategies=_parse_strategies(self.strategies),
             k=self.k,
             include_linked=self.include_linked,
             apply_e4=self.apply_e4,
@@ -84,25 +82,34 @@ class ExperimentConfig:
         )
 
 
-_BOOL_KEYS = {"include_linked", "apply_e4", "apply_e5", "save_models"}
-_INT_KEYS = {"k", "min_rank", "svm_max_epochs", "seed", "cv_folds"}
-_FLOAT_KEYS = {"svm_c", "svm_tolerance"}
+def _parse_strategies(text: str) -> frozenset[Strategy]:
+    return frozenset(Strategy(s.strip()) for s in text.split(",") if s.strip())
+
+
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 _PATH_KEYS = {"corpus_dir", "kb_dump", "stoplist", "gazetteer", "noun_lexicon",
               "baseline_metrics"}
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
+def _coerce(key: str, value: str) -> str | int | float | bool:
+    """Convert a raw string value to the type of its ExperimentConfig field."""
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        low = value.lower()
+        if low in ("true", "yes", "on", "1"):
+            return True
+        if low in ("false", "no", "off", "0"):
+            return False
+    else:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     """Parse and validate config text; see load_config for file handling."""
-    known = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, str] = {}
     unknown: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -114,24 +121,14 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             unknown.append(key)
             continue
         raw[key] = value
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(key, value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
-
+    kwargs = {key: _coerce(key, value) for key, value in raw.items()}
     for required in ("dataset", "corpus_dir"):
         if not kwargs.get(required):
             raise ConfigError(f"missing required key {required!r}")
@@ -157,6 +154,13 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         raise ConfigError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
     if cfg.svm_c <= 0 or cfg.svm_tolerance <= 0:
         raise ConfigError("svm_c and svm_tolerance must be positive")
+    # checked for every preset, not only for the custom one that reads them
+    for key, parse in (("representation", Representation),
+                       ("strategies", _parse_strategies)):
+        try:
+            parse(getattr(cfg, key))
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
 
     updates: dict[str, str] = {}
     base = base_dir or Path.cwd()
@@ -186,10 +190,6 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
     cfg = replace(cfg, **updates)
     if cfg.preset != "baseline" and not cfg.kb_dump:
         raise ConfigError(f"preset {cfg.preset!r} needs a kb_dump path")
-    try:
-        cfg.resolve_preset()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -208,17 +208,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def config_from_dict(snapshot: dict[str, str]) -> ExperimentConfig:
-    kwargs: dict = {}
-    for f in fields(ExperimentConfig):
-        if f.name not in snapshot:
-            continue
-        value = snapshot[f.name]
-        if f.name in _BOOL_KEYS:
-            kwargs[f.name] = _parse_bool(f.name, value)
-        elif f.name in _INT_KEYS:
-            kwargs[f.name] = int(value)
-        elif f.name in _FLOAT_KEYS:
-            kwargs[f.name] = float(value)
-        else:
-            kwargs[f.name] = value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{
+        f.name: _coerce(f.name, snapshot[f.name])
+        for f in fields(ExperimentConfig) if f.name in snapshot
+    })

@@ -4,7 +4,6 @@ directory trees, category subset selection, and stratified fold assignment.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -293,32 +292,3 @@ def make_folds(docs: list[RawDocument], k: int, seed: int) -> FoldAssignment:
         for i, doc_id in enumerate(ids):
             assignment[doc_id] = i % k
     return FoldAssignment(k=k, assignment=assignment)
-
-
-def dump_documents_jsonl(docs: list[RawDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps({
-                "id": doc.id,
-                "title": doc.title,
-                "body": doc.body,
-                "labels": sorted(doc.labels),
-                "split_hint": doc.split_hint.value,
-            }, ensure_ascii=False) + "\n")
-
-
-def load_documents_jsonl(path: str | Path) -> list[RawDocument]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            docs.append(RawDocument(
-                id=rec["id"],
-                title=rec["title"],
-                body=rec["body"],
-                labels=set(rec["labels"]),
-                split_hint=SplitHint(rec["split_hint"]),
-            ))
-    return docs

@@ -221,6 +221,24 @@ def clean_e5(terms: list[str], stoplist: set[str]) -> list[str]:
 _STRATEGY_ORDER = (Strategy.E1, Strategy.E2, Strategy.E3)
 
 
+def strategy_outputs(
+    doc: TaggedDocument, preset: Preset, index: KbIndex
+) -> list[tuple[Strategy, EnrichmentOutput]]:
+    """Run the preset's retrieval strategies, in E1, E2, E3 order."""
+    outputs = []
+    for strategy in _STRATEGY_ORDER:
+        if strategy not in preset.strategies:
+            continue
+        if strategy is Strategy.E1:
+            out = enrich_e1(doc, index, preset.k)
+        elif strategy is Strategy.E2:
+            out = enrich_e2(doc, index, preset.k, preset.title_term, preset.min_rank)
+        else:
+            out = enrich_e3(doc, index, preset.k, preset.title_term, preset.min_rank)
+        outputs.append((strategy, out))
+    return outputs
+
+
 def enrichment_terms(
     doc: TaggedDocument,
     preset: Preset,
@@ -229,19 +247,7 @@ def enrichment_terms(
 ) -> list[str]:
     """Run the preset's strategies and return the filtered, cleaned terms
     to append: titles first, then categories, then linked concepts."""
-    outputs = []
-    for strategy in _STRATEGY_ORDER:
-        if strategy not in preset.strategies:
-            continue
-        if strategy is Strategy.E1:
-            outputs.append(enrich_e1(doc, index, preset.k))
-        elif strategy is Strategy.E2:
-            outputs.append(enrich_e2(doc, index, preset.k,
-                                     preset.title_term, preset.min_rank))
-        else:
-            outputs.append(enrich_e3(doc, index, preset.k,
-                                     preset.title_term, preset.min_rank))
-
+    outputs = [out for _, out in strategy_outputs(doc, preset, index)]
     titles = _dedup([t for out in outputs for t in out.titles])
     categories = _dedup([c for out in outputs for c in out.categories])
     linked = _dedup([l for out in outputs for l in out.linked_concepts])

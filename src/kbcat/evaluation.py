@@ -131,62 +131,13 @@ def relative_improvement(baseline: float, value: float) -> float:
     return 100.0 * (value - baseline) / baseline
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # continued fraction for the incomplete beta function (Lentz method)
-    max_iter = 300
-    eps = 3e-14
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _betai(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-             + a * math.log(x) + b * math.log(1.0 - x))
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_sf_two_tailed(t: float, df: int) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom."""
-    return _betai(df / 2.0, 0.5, df / (df + t * t))
+    # imported here so that runs, which never need a t-test, do not pay
+    # the memory of loading scipy.special; only `report --t-test` does
+    from scipy.special import betainc
+
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
@@ -238,6 +189,10 @@ def run_cv(
     mean/sample-sd summary and a pooled contingency report."""
     cats = list(categories)
     folds = make_folds(docs, k, seed)
+    filled = set(folds.assignment.values())
+    for fold in range(k):
+        if fold not in filled:
+            raise ValueError(f"cv fold {fold} of {k} has no test documents")
     fold_reports: list[MetricReport] = []
     pooled = ContingencyTable(counts={c: CategoryCounts() for c in cats})
     for fold in range(k):

@@ -113,7 +113,7 @@ def make_fold_runner(prepared: dict, categories: tuple[str, ...], cfg: Experimen
     mode = (PredictionMode.MULTI_LABEL if cfg.resolved_label_mode() == "multi"
             else PredictionMode.SINGLE_LABEL)
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
-                            max_epochs=cfg.svm_max_epochs, seed=cfg.seed)
+                            max_epochs=cfg.svm_max_epochs)
 
     def run_fold(train_docs, test_docs):
         train_tagged = [prepared[d.id] for d in train_docs]
@@ -304,11 +304,18 @@ def format_metrics_tsv(cv: CvResult | None, report: MetricReport) -> str:
 def parse_metrics_tsv(path: Path) -> dict[str, dict[str, tuple[float, ...]]]:
     runs: dict[str, tuple[float, ...]] = {}
     categories: dict[str, tuple[float, ...]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        kind, label, *cells = line.split("\t")
-        values = tuple(float(c) for c in cells if c != "-")
+        cells = line.split("\t")
+        try:
+            if len(cells) != 6:
+                raise ValueError(f"expected 6 TAB-separated cells, got {len(cells)}")
+            values = tuple(float(c) for c in cells[2:] if c != "-")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        kind, label = cells[:2]
         if kind == "run":
             runs[label] = values
         else:

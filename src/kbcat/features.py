@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from .porter import porter_stem
 from .textproc import TaggedDocument
@@ -89,25 +88,3 @@ def vectorize(doc: TaggedDocument, vocab: Vocabulary) -> SparseVector:
         indices=tuple(i for i, _ in pairs),
         values=tuple(w / norm for _, w in pairs),
     )
-
-
-def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#n_docs\t{vocab.n_docs}\n")
-        for term, i in sorted(vocab.index.items(), key=lambda kv: kv[1]):
-            fh.write(f"{term}\t{i}\t{vocab.df[term]}\n")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    index: dict[str, int] = {}
-    df: dict[str, int] = {}
-    n_docs = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#n_docs\t"):
-                n_docs = int(line.split("\t")[1])
-                continue
-            term, i, d = line.rstrip("\n").split("\t")
-            index[term] = int(i)
-            df[term] = int(d)
-    return Vocabulary(index=index, df=df, n_docs=n_docs)

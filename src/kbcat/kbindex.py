@@ -249,10 +249,6 @@ class KbIndex:
         return hits[:n]
 
 
-def build_index(records: list[KnowledgeRecord]) -> KbIndex:
-    return KbIndex(records)
-
-
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s+TO\s+(-?\d+)\s*\]$")
 
 

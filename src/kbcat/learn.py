@@ -34,7 +34,6 @@ class TrainConfig:
     c: float = 1.0
     tolerance: float = 1e-4  # relative duality-gap threshold
     max_epochs: int = 1000
-    seed: int = 0
 
 
 @dataclass
@@ -104,7 +103,8 @@ def train_binary_svm(
     Single-class input degenerates to a zero weight vector with the class
     sign as bias (and a warning). Otherwise the returned model's primal
     objective is duality-gap certified to within ``cfg.tolerance``
-    relative of the optimum.
+    relative of the optimum, or a warning gives the final gap when the
+    trainer stops short of that (``cfg.max_epochs`` or a zero step).
     """
     cfg = cfg or TrainConfig()
     if not X or len(X) != len(y):
@@ -144,6 +144,8 @@ def train_binary_svm(
     best = {"P": math.inf, "alpha": alpha.copy(), "b": 0.0}
     history: list[float] = []
     converged = False
+    certified = False
+    rel_gap = math.inf
 
     for _epoch in range(cfg.max_epochs):
         moved = False
@@ -201,10 +203,15 @@ def train_binary_svm(
         history.append(best["P"])
 
         dual = float(alpha.sum()) - 0.5 * wsq
-        gap = p_now - dual
-        if converged or gap <= cfg.tolerance * max(1.0, abs(p_now)) or not moved:
+        rel_gap = (p_now - dual) / max(1.0, abs(p_now))
+        certified = converged or rel_gap <= cfg.tolerance
+        if certified or not moved:
             break
 
+    if not certified:
+        logger.warning(
+            "SVM stopped uncertified after %d epochs: relative duality gap "
+            "%.3g above tolerance %g", len(history), rel_gap, cfg.tolerance)
     w = np.asarray(Xs.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
                        objective=best["P"], objective_history=history)

@@ -102,6 +102,28 @@ class TestLoadConfig:
                "svm_c = 2.0  # inline comment\n"
         assert parse_config_text(text).svm_c == 2.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "abc"), ("svm_c", "high"), ("cv_folds", "2.5"), ("save_models", "maybe"),
+    ])
+    def test_bad_typed_value_names_key(self, separable_corpus, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config_text(_config_text(separable_corpus, **{key: value}))
+
+    def test_bad_snapshot_value_names_key(self):
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict({"dataset": "custom", "corpus_dir": "c", "seed": "x"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("representation", "T9"), ("strategies", "E2,E7"),
+    ])
+    def test_typed_keys_checked_for_every_preset(self, separable_corpus, tmp_path,
+                                                 key, value):
+        kb = tmp_path / "kb.tsv"
+        synth.write_kb_dump(synth.build_kb(), kb)
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(_config_text(
+                separable_corpus, preset="A4", kb_dump=kb, **{key: value}))
+
     def test_config_dict_round_trip(self, separable_corpus):
         cfg = parse_config_text(_config_text(separable_corpus, svm_c="0.5",
                                              include_linked="true"))
@@ -174,6 +196,19 @@ class TestRunExperiment:
             assert all(df <= len(train) for df in vocab.df.values())
 
         run_cv(admitted, runner, 4, cfg.seed, categories, on_fold=check)
+
+    def test_empty_cv_fold_is_a_stage_error(self, tmp_path):
+        # 3 classes of 2 documents leave folds 2-4 of 5 without test documents
+        corpus = tmp_path / "corpus"
+        for cls in ("a", "b", "c"):
+            (corpus / cls).mkdir(parents=True)
+            for i in range(2):
+                (corpus / cls / str(i)).write_text(f"Subject: s\n\n{cls}\n",
+                                                   encoding="utf-8")
+        cfg = parse_config_text(_config_text(corpus, cv_folds=5))
+        with pytest.raises(StageError, match="no test documents") as err:
+            run_experiment(cfg)
+        assert err.value.stage == "evaluate"
 
     def test_stage_error_names_stage(self, tmp_path):
         corpus = tmp_path / "empty"
@@ -260,7 +295,7 @@ class TestCli:
         synth.write_kb_dump(synth.build_kb(), kb)
         out = tmp_path / "index"
         assert main(["index", "build", "--dump", str(kb), "--out", str(out)]) == 0
-        assert (out / "index.pkl").exists()
+        assert (out / "index_stats.tsv").read_text(encoding="utf-8") == "records\t50\n"
         assert "50 records" in capsys.readouterr().out
 
     def test_enrich_preview(self, tmp_path, capsys):
@@ -284,6 +319,55 @@ class TestCli:
                             encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "non_numeric_config_value",
+        "config_is_directory",
+        "malformed_dump_index_build",
+        "malformed_dump_enrich_preview",
+        "zero_f_baseline",
+        "non_numeric_metrics_cell",
+    ])
+    def test_bad_input_is_one_error_line(self, case, separable_corpus, tmp_path,
+                                         capsys):
+        bad_kb = tmp_path / "bad_kb.tsv"
+        bad_kb.write_text("only\tthree\tfields\n", encoding="utf-8")
+        cfg_path = tmp_path / "exp.cfg"
+        header = "row\tname\tmicro_p\tmicro_r\tmicro_f\tmacro_f\n"
+        metrics = {"good": "run\tmean\t0.5\t0.5\t0.5\t0.5\n",
+                   "zero": "run\tmean\t0.0\t0.0\t0.0\t0.0\n",
+                   "text": "run\tmean\t0.5\tabc\t0.5\t0.5\n"}
+        for name, row in metrics.items():
+            (tmp_path / f"{name}.tsv").write_text(header + row, encoding="utf-8")
+
+        def report(baseline: str, run: str) -> list[str]:
+            return ["report", "--baseline", str(tmp_path / f"{baseline}.tsv"),
+                    "--runs", f"A4={tmp_path / f'{run}.tsv'}"]
+
+        if case == "non_numeric_config_value":
+            cfg_path.write_text(_config_text(separable_corpus, k="abc"),
+                                encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+        elif case == "config_is_directory":
+            argv = ["run", "--config", str(tmp_path)]
+        elif case == "malformed_dump_index_build":
+            argv = ["index", "build", "--dump", str(bad_kb),
+                    "--out", str(tmp_path / "index")]
+        elif case == "malformed_dump_enrich_preview":
+            cfg_path.write_text(
+                _config_text(separable_corpus, preset="A4", kb_dump=bad_kb),
+                encoding="utf-8")
+            argv = ["enrich", "preview", "--config", str(cfg_path),
+                    "--doc-id", "spam/000"]
+        elif case == "zero_f_baseline":
+            argv = report("zero", "good")
+        else:
+            argv = report("good", "text")
+
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_unknown_doc_id_exits_nonzero(self, tmp_path, separable_corpus, capsys):
         cfg_path = tmp_path / "exp.cfg"

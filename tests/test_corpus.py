@@ -9,9 +9,7 @@ from kbcat.corpus import (
     ReutersParseError,
     SplitHint,
     SubsetMode,
-    dump_documents_jsonl,
     load_20newsgroups,
-    load_documents_jsonl,
     load_reuters_sgml,
     make_folds,
     select_category_subset,
@@ -203,10 +201,3 @@ class TestMakeFolds:
         all_ids = [i for f in range(4) for i in folds.fold_ids(f)]
         assert sorted(all_ids) == sorted(d.id for d in docs)
         assert len(all_ids) == len(set(all_ids))
-
-
-def test_jsonl_round_trip(tmp_path):
-    docs = load_reuters_sgml(SNIPPET.encode())
-    path = tmp_path / "docs.jsonl"
-    dump_documents_jsonl(docs, path)
-    assert load_documents_jsonl(path) == docs

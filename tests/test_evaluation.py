@@ -246,3 +246,18 @@ class TestRunCv:
 
         with pytest.raises(RuntimeError, match="fold 0"):
             run_cv(_docs(), broken, 4, seed=0, categories=["blue", "red"])
+
+    def test_empty_test_fold_rejected_before_any_run(self):
+        # 3 strata of 2 documents fill only folds 0 and 1 of 5; scoring the
+        # empty folds as F = 0 would report a mean micro-F of 0.4
+        docs = [RawDocument(id=f"{cls}{i}", title="", body=cls, labels={cls})
+                for cls in ("red", "blue", "green") for i in range(2)]
+        calls = []
+
+        def runner(train, test):
+            calls.append(test)
+            return _word_match_runner(train, test)
+
+        with pytest.raises(ValueError, match="cv fold 2 of 5 has no test documents"):
+            run_cv(docs, runner, 5, seed=0, categories=["blue", "green", "red"])
+        assert calls == []

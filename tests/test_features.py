@@ -9,9 +9,7 @@ import pytest
 from conftest import make_tagged
 from kbcat.features import (
     document_terms,
-    dump_vocabulary,
     fit_vocabulary,
-    load_vocabulary,
     vectorize,
 )
 from kbcat.textproc import EntityTag, Representation, TaggedDocument, Token
@@ -109,10 +107,3 @@ class TestVectorize:
         snapshot = copy.deepcopy(vocab)
         vectorize(make_tagged(["a", "zzz", "new_term"]), vocab)
         assert vocab == snapshot
-
-
-def test_vocabulary_dump_round_trip(tmp_path):
-    vocab = fit_vocabulary([make_tagged(["a", "b"]), make_tagged(["a"])])
-    path = tmp_path / "vocab.tsv"
-    dump_vocabulary(vocab, path)
-    assert load_vocabulary(path) == vocab

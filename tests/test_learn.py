@@ -141,12 +141,29 @@ class TestTrainingProperties:
         y = [rng.choice([1, -1]) for _ in range(20)]
         if len(set(y)) == 1:
             y[0] = -y[0]
-        cfg = TrainConfig(c=2.0, seed=13)
+        cfg = TrainConfig(c=2.0)
         m1 = train_binary_svm(X, y, cfg, dim=3)
         m2 = train_binary_svm(X, y, cfg, dim=3)
         assert m1.bias == m2.bias
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.objective == m2.objective
+
+    def test_uncertified_stop_warns_with_gap(self, caplog):
+        rng = random.Random(3)
+        X = [_sv([rng.gauss(0, 1), rng.gauss(0, 1)]) for _ in range(200)]
+        y = [rng.choice([1, -1]) for _ in range(200)]
+        with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
+            model = train_binary_svm(X, y, TrainConfig(c=10.0, max_epochs=1), dim=2)
+        warnings = [r.message for r in caplog.records if "uncertified" in r.message]
+        assert len(warnings) == 1
+        assert "relative duality gap" in warnings[0]
+        assert model.objective == model.objective_history[-1]
+
+    def test_certified_run_does_not_warn(self, caplog):
+        X = [_sv([2.0]), _sv([-2.0])]
+        with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
+            train_binary_svm(X, [1, -1], TrainConfig(c=10.0), dim=1)
+        assert not caplog.records
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
