@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, validate_config
 from .enrich import strategy_outputs
 from .experiment import (
     StageError,
@@ -39,6 +39,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out:
         cfg = replace(cfg, out_dir=str(Path(args.out).resolve()))
+    cfg = validate_config(cfg)  # the overrides are checked like the file
     result = run_experiment(cfg)
     print(f"run {result.name}: micro_f={result.micro_f:.4f} "
           f"macro_f={result.macro_f:.4f} "

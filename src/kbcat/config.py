@@ -154,6 +154,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         raise ConfigError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
     if cfg.svm_c <= 0 or cfg.svm_tolerance <= 0:
         raise ConfigError("svm_c and svm_tolerance must be positive")
+    if cfg.svm_max_epochs < 1:
+        raise ConfigError(f"svm_max_epochs must be >= 1, got {cfg.svm_max_epochs}")
     # checked for every preset, not only for the custom one that reads them
     for key, parse in (("representation", Representation),
                        ("strategies", _parse_strategies)):

@@ -26,7 +26,9 @@ from .features import SparseVector
 logger = logging.getLogger(__name__)
 
 _KKT_EPS = 1e-8
-_GRAM_LIMIT = 2048  # precompute the Gram matrix up to this many points
+# precompute the Gram matrix up to this many points (a memory bound: about
+# 33 MB of float64 at 2,048); past it each row is computed when needed
+_GRAM_LIMIT = 2048
 
 
 @dataclass
@@ -42,6 +44,10 @@ class LinearModel:
     bias: float
     objective: float | None = None
     objective_history: list[float] = field(default_factory=list)
+    # the trainer's certificate: whether the relative duality gap met the
+    # tolerance, and that gap (NaN when unknown, as for a loaded model)
+    certified: bool = False
+    rel_gap: float = math.nan
 
     def decision(self, x: SparseVector) -> float:
         w = self.weights
@@ -104,7 +110,8 @@ def train_binary_svm(
     sign as bias (and a warning). Otherwise the returned model's primal
     objective is duality-gap certified to within ``cfg.tolerance``
     relative of the optimum, or a warning gives the final gap when the
-    trainer stops short of that (``cfg.max_epochs`` or a zero step).
+    trainer stops short of that (``cfg.max_epochs`` or a zero step). The
+    model's ``certified`` and ``rel_gap`` record which of the two happened.
     """
     cfg = cfg or TrainConfig()
     if not X or len(X) != len(y):
@@ -119,21 +126,36 @@ def train_binary_svm(
         sole = y[0]
         logger.warning("single-class training set; returning constant model %+d", sole)
         return LinearModel(weights=np.zeros(dim), bias=float(sole),
-                           objective=0.0, objective_history=[0.0])
+                           objective=0.0, objective_history=[0.0],
+                           certified=True, rel_gap=0.0)
 
     n = len(X)
     c = float(cfg.c)
     Xs = _to_csr(X, dim)
     ya = np.asarray(y, dtype=np.float64)
 
-    gram = (Xs @ Xs.T).toarray() if n <= _GRAM_LIMIT else None
     diag = np.asarray(Xs.multiply(Xs).sum(axis=1)).ravel()
     snap = 1e-12 * max(1.0, c)
 
-    def gram_row(i: int) -> np.ndarray:
-        if gram is not None:
+    if n <= _GRAM_LIMIT:
+        gram = (Xs @ Xs.T).toarray()
+
+        def gram_row(i: int) -> np.ndarray:
             return gram[i]
-        return np.asarray((Xs @ Xs.getrow(i).T).todense()).ravel()
+    else:
+        # scatter x_i into a dense work vector and take one CSR matvec: like
+        # the sparse product behind the precomputed Gram, it sums each
+        # output over that row's stored columns in ascending order, so the
+        # rows are bit-identical to the Gram's
+        work = np.zeros(dim)
+
+        def gram_row(i: int) -> np.ndarray:
+            start, end = Xs.indptr[i], Xs.indptr[i + 1]
+            cols = Xs.indices[start:end]
+            work[cols] = Xs.data[start:end]
+            row = Xs @ work
+            work[cols] = 0.0
+            return row
 
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = w . x_i, maintained incrementally
@@ -214,7 +236,8 @@ def train_binary_svm(
             "%.3g above tolerance %g", len(history), rel_gap, cfg.tolerance)
     w = np.asarray(Xs.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
-                       objective=best["P"], objective_history=history)
+                       objective=best["P"], objective_history=history,
+                       certified=certified, rel_gap=rel_gap)
 
 
 @dataclass

@@ -109,6 +109,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             parse_config_text(_config_text(separable_corpus, **{key: value}))
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_svm_max_epochs_below_one_rejected(self, separable_corpus, value):
+        with pytest.raises(ConfigError, match="svm_max_epochs"):
+            parse_config_text(_config_text(separable_corpus, svm_max_epochs=value))
+
     def test_bad_snapshot_value_names_key(self):
         with pytest.raises(ConfigError, match="'seed'"):
             config_from_dict({"dataset": "custom", "corpus_dir": "c", "seed": "x"})
@@ -368,6 +373,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_preset_override_is_validated(self, separable_corpus, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_config_text(separable_corpus), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--preset", "A4"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: preset 'A4' needs a kb_dump path\n"
 
     def test_unknown_doc_id_exits_nonzero(self, tmp_path, separable_corpus, capsys):
         cfg_path = tmp_path / "exp.cfg"

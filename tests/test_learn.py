@@ -2,11 +2,13 @@
 margin and determinism properties, one-vs-rest, prediction."""
 
 import logging
+import math
 import random
 
 import numpy as np
 import pytest
 
+from kbcat import learn
 from kbcat.features import SparseVector
 from kbcat.learn import (
     LinearModel,
@@ -55,6 +57,7 @@ class TestDegenerate:
         assert model.bias == 1.0
         assert not model.weights.any()
         assert model.objective == 0.0
+        assert model.certified and model.rel_gap == 0.0
         assert any("single-class" in rec.message for rec in caplog.records)
 
     def test_single_class_negative(self):
@@ -93,6 +96,55 @@ def _fixture_battery():
 class TestOracleBattery:
     @pytest.mark.parametrize("idx", range(10))
     def test_objective_within_tolerance_of_oracle(self, idx):
+        X, y, c = _fixture_battery()[idx]
+        dim = max(i for x in X for i in x.indices) + 1
+        cfg = TrainConfig(c=c, tolerance=1e-6, max_epochs=2000)
+        model = train_binary_svm(X, y, cfg, dim=dim)
+        found = svm_primal_objective(
+            _dense(X, dim), np.array(y, float), model.weights, model.bias, c
+        )
+        assert found == pytest.approx(model.objective, rel=1e-9, abs=1e-12)
+        _, _, oracle_obj = svm_projected_gradient_oracle(
+            _dense(X, dim), np.array(y, float), c
+        )
+        assert abs(found - oracle_obj) / oracle_obj <= 1e-3, (
+            f"fixture {idx}: found {found}, oracle {oracle_obj}"
+        )
+
+
+def _random_sparse_problem(seed: int, n: int = 80, dim: int = 40):
+    rng = np.random.default_rng(seed)
+    X, y = [], []
+    for _ in range(n):
+        cols = np.flatnonzero(rng.random(dim) < 0.15)
+        X.append(SparseVector(indices=tuple(int(i) for i in cols),
+                              values=tuple(float(v) for v in rng.normal(size=cols.size))))
+        y.append(int(rng.choice([1, -1])))
+    y[0], y[1] = 1, -1
+    return X, y, dim
+
+
+class TestOnDemandGramRows:
+    """Past ``_GRAM_LIMIT`` the trainer computes each Gram row when it needs
+    it; a limit of 0 sends every problem down that path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    def test_same_model_as_precomputed_gram(self, monkeypatch, seed, c):
+        X, y, dim = _random_sparse_problem(seed)
+        cfg = TrainConfig(c=c)
+        precomputed = train_binary_svm(X, y, cfg, dim=dim)
+        monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
+        on_demand = train_binary_svm(X, y, cfg, dim=dim)
+        if c >= 1.0:
+            assert len(precomputed.objective_history) > 1
+        assert np.array_equal(on_demand.weights, precomputed.weights)
+        assert on_demand.bias == precomputed.bias
+        assert on_demand.objective_history == precomputed.objective_history
+
+    @pytest.mark.parametrize("idx", [0, 1, 4, 7])
+    def test_objective_within_tolerance_of_oracle(self, monkeypatch, idx):
+        monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
         X, y, c = _fixture_battery()[idx]
         dim = max(i for x in X for i in x.indices) + 1
         cfg = TrainConfig(c=c, tolerance=1e-6, max_epochs=2000)
@@ -158,12 +210,16 @@ class TestTrainingProperties:
         assert len(warnings) == 1
         assert "relative duality gap" in warnings[0]
         assert model.objective == model.objective_history[-1]
+        assert not model.certified
+        assert model.rel_gap > 1e-4
 
     def test_certified_run_does_not_warn(self, caplog):
         X = [_sv([2.0]), _sv([-2.0])]
         with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
-            train_binary_svm(X, [1, -1], TrainConfig(c=10.0), dim=1)
+            model = train_binary_svm(X, [1, -1], TrainConfig(c=10.0), dim=1)
         assert not caplog.records
+        assert model.certified
+        assert model.rel_gap <= 1e-4
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -269,3 +325,5 @@ def test_model_dump_round_trip(tmp_path):
     for name in models:
         assert loaded[name].bias == models[name].bias
         assert np.array_equal(loaded[name].weights, models[name].weights)
+        # a dump keeps no certificate
+        assert not loaded[name].certified and math.isnan(loaded[name].rel_gap)
