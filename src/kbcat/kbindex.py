@@ -12,17 +12,30 @@ squared idf times a field-length norm, multiplied by a coordination
 factor. Only contents and wikiTitle clauses contribute scored terms;
 clauses on the remaining fields act as match-only filters that feed the
 coordination factor.
+
+Queries are evaluated term at a time: the candidates are the records in
+the postings of the positive term clauses, and each positive clause adds
+its score mass and one coordination count to every candidate it matches.
+The clauses are walked in query order, repeated ones included (a repeat
+reuses the clause's masses but is added again, never multiplied), so every
+record's score is the same sum in the same order as a clause-by-clause
+evaluation of that record alone: scores are bit-identical to it, and ties
+between records that differ only in the last bit break the same way. The
+scores of the last query are kept, so ``score`` on its records one by one
+is a lookup; search filters the candidates once per MUST and MUST_NOT
+clause and ranks the rest by ``score``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
 
-from .textproc import DELIMITER_CHARS, tokenize
+from .textproc import DELIMITER_CHARS, split_words
 
 
 class FieldName(Enum):
@@ -108,9 +121,9 @@ def normalize_entity_type(item: str) -> str:
 
 def _field_terms(record: KnowledgeRecord, name: FieldName) -> list[str]:
     if name is FieldName.CONTENTS:
-        return [t.surface.lower() for t in tokenize(record.contents)]
+        return [w.lower() for w in split_words(record.contents)]
     if name is FieldName.WIKI_TITLE:
-        return [t.surface.lower() for t in tokenize(record.title)]
+        return [w.lower() for w in split_words(record.title)]
     if name is FieldName.TYPES:
         return [normalize_entity_type(item) for item in record.entity_types]
     if name is FieldName.REDIRECTS:
@@ -121,7 +134,7 @@ def _field_terms(record: KnowledgeRecord, name: FieldName) -> list[str]:
         items = record.linked_concepts
     terms: list[str] = []
     for item in items:
-        terms.extend(t.surface.lower() for t in tokenize(item))
+        terms.extend(w.lower() for w in split_words(item))
     return terms
 
 
@@ -136,7 +149,9 @@ _INDEXED_FIELDS = (
 
 
 class KbIndex:
-    """Write-once inverted index; concurrent searches need no locking."""
+    """Inverted index written once, at construction. The only other state
+    is the memo of the last query's scores, replaced whole, so concurrent
+    searches need no locking."""
 
     def __init__(self, records: list[KnowledgeRecord]) -> None:
         self._records: dict[str, KnowledgeRecord] = {}
@@ -154,9 +169,9 @@ class KbIndex:
                 terms = _field_terms(record, fname)
                 self._field_len[fname][record.title] = len(terms)
                 postings = self._postings[fname]
-                for term in terms:
-                    postings.setdefault(term, {}).setdefault(record.title, 0)
-                    postings[term][record.title] += 1
+                for term, tf in Counter(terms).items():
+                    postings.setdefault(term, {})[record.title] = tf
+        self._last_scores: tuple[list[QueryClause], dict[str, float]] = ([], {})
 
     def __len__(self) -> int:
         return len(self._records)
@@ -168,48 +183,74 @@ class KbIndex:
     def get_record(self, title: str) -> KnowledgeRecord | None:
         return self._records.get(title)
 
-    def tf(self, field: FieldName, term: str, title: str) -> int:
-        return self._postings.get(field, {}).get(term, {}).get(title, 0)
-
-    def df(self, field: FieldName, term: str) -> int:
-        return len(self._postings.get(field, {}).get(term, {}))
-
     def _clause_matches(self, clause: QueryClause, title: str) -> bool:
-        record = self._records[title]
         if isinstance(clause.body, RangeBody):
-            return clause.body.lo <= record.page_rank <= clause.body.hi
+            return clause.body.lo <= self._records[title].page_rank <= clause.body.hi
         term = normalize_term(clause.body.text)
         if clause.field is FieldName.PAGE_RANK:
-            try:
-                return record.page_rank == int(term)
-            except ValueError:
-                return False
-        return self.tf(clause.field, term, title) > 0
+            # isdecimal, not int()'s own check: int() accepts "1_0" as 10
+            return term.isdecimal() and self._records[title].page_rank == int(term)
+        return title in self._postings[clause.field].get(term, ())
 
-    def score(self, query: FieldedQuery, title: str) -> float:
-        """Practical scoring of one record against the query.
+    def _clause_mass(self, clause: QueryClause, candidates: set[str]) -> dict[str, float]:
+        """Score mass the clause adds to each candidate it matches:
+        sqrt(tf) * idf^2 * fieldNorm for a scored term clause, with
+        idf = 1 + ln(N / (df + 1)) and fieldNorm = 1 / sqrt(field token
+        count); 0.0 for a match-only clause."""
+        if isinstance(clause.body, Term) and clause.field is not FieldName.PAGE_RANK:
+            by_title = self._postings[clause.field].get(normalize_term(clause.body.text), {})
+            if not by_title or clause.field not in SCORED_FIELDS:
+                return dict.fromkeys(by_title, 0.0)
+            idf = 1.0 + math.log(len(self._records) / (len(by_title) + 1))
+            field_len = self._field_len[clause.field]
+            return {
+                title: math.sqrt(tf) * idf * idf * (1.0 / math.sqrt(field_len[title]))
+                for title, tf in by_title.items()
+            }
+        return {title: 0.0 for title in candidates if self._clause_matches(clause, title)}
 
-        score = coord * sum over matching scored term clauses of
-        sqrt(tf) * idf^2 * fieldNorm, with idf = 1 + ln(N / (df + 1)) and
-        fieldNorm = 1 / sqrt(field token count).
-        """
-        n_records = len(self._records)
+    def _query_scores(self, query: FieldedQuery) -> dict[str, float]:
+        """Score of every record matching a positive term clause, evaluated
+        term at a time (see the module docstring) and kept for the last
+        query."""
+        last_clauses, scores = self._last_scores
+        if last_clauses == query.clauses:
+            return scores
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
-        if not positive:
-            return 0.0
-        matched = [c for c in positive if self._clause_matches(c, title)]
-        coord = len(matched) / len(positive)
-        total = 0.0
-        for clause in matched:
-            if not isinstance(clause.body, Term) or clause.field not in SCORED_FIELDS:
+        candidates: set[str] = set()
+        for clause in positive:
+            if not isinstance(clause.body, Term):
+                continue
+            if clause.field is FieldName.PAGE_RANK:
+                candidates.update(
+                    t for t in self._records if self._clause_matches(clause, t)
+                )
                 continue
             term = normalize_term(clause.body.text)
-            tf = self.tf(clause.field, term, title)
-            df = self.df(clause.field, term)
-            idf = 1.0 + math.log(n_records / (df + 1))
-            norm = 1.0 / math.sqrt(self._field_len[clause.field][title])
-            total += math.sqrt(tf) * idf * idf * norm
-        return coord * total
+            candidates.update(self._postings[clause.field].get(term, ()))
+        totals = dict.fromkeys(candidates, 0.0)
+        matched = dict.fromkeys(candidates, 0)
+        masses: dict[tuple[FieldName, Term | RangeBody], dict[str, float]] = {}
+        for clause in positive:
+            key = (clause.field, clause.body)
+            mass = masses.get(key)
+            if mass is None:
+                mass = masses[key] = self._clause_mass(clause, candidates)
+            for title, value in mass.items():
+                totals[title] += value
+                matched[title] += 1
+        scores = {t: (matched[t] / len(positive)) * totals[t] for t in candidates}
+        self._last_scores = (list(query.clauses), scores)
+        return scores
+
+    def score(self, query: FieldedQuery, title: str) -> float:
+        """Practical scoring of one record against the query: the
+        coordination factor (matched positive clauses / positive clauses)
+        times the summed mass of its matching scored term clauses. A record
+        that matches no positive term clause scores 0.0."""
+        if title not in self._records:
+            raise KeyError(title)
+        return self._query_scores(query).get(title, 0.0)
 
     def search(self, query: FieldedQuery, n: int) -> list[SearchHit]:
         """Top-n records by score; ties broken by title.
@@ -220,31 +261,16 @@ class KbIndex:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        candidates: set[str] = set()
+        candidates = set(self._query_scores(query))
         for clause in query.clauses:
-            if clause.occur is Occur.MUST_NOT or not isinstance(clause.body, Term):
-                continue
-            if clause.field is FieldName.PAGE_RANK:
-                candidates.update(
-                    t for t in self._records if self._clause_matches(clause, t)
-                )
-                continue
-            term = normalize_term(clause.body.text)
-            candidates.update(self._postings.get(clause.field, {}).get(term, {}))
-
-        hits = []
-        for title in candidates:
-            keep = True
-            for clause in query.clauses:
-                matches = self._clause_matches(clause, title)
-                if clause.occur is Occur.MUST and not matches:
-                    keep = False
-                    break
-                if clause.occur is Occur.MUST_NOT and matches:
-                    keep = False
-                    break
-            if keep:
-                hits.append(SearchHit(title, self.score(query, title)))
+            if clause.occur is not Occur.SHOULD:
+                keep = clause.occur is Occur.MUST
+                candidates = {
+                    t for t in candidates if self._clause_matches(clause, t) == keep
+                }
+        # each hit's score is score()'s, one call per candidate scored (the
+        # call bench/layertrace.py counts); the query's scores are memoized
+        hits = [SearchHit(t, self.score(query, t)) for t in candidates]
         hits.sort(key=lambda h: (-h.score, h.record_title))
         return hits[:n]
 

@@ -64,10 +64,15 @@ class TaggedDocument:
         return [tok.surface for tok, _ in self.tokens]
 
 
+def split_words(text: str) -> list[str]:
+    """The non-empty pieces of text between runs of whitespace and
+    delimiter characters."""
+    return [p for p in _SPLIT_RE.split(text) if p]
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text on whitespace and the delimiter set; positions run from 0."""
-    pieces = [p for p in _SPLIT_RE.split(text) if p]
-    return [Token(surface=p, position=i) for i, p in enumerate(pieces)]
+    return [Token(surface=p, position=i) for i, p in enumerate(split_words(text))]
 
 
 def remove_stopwords(tokens: list[Token], stoplist: set[str]) -> list[Token]:

@@ -22,6 +22,7 @@ from kbcat.kbindex import (
     serialize_query,
 )
 from oracles import brute_force_search
+from synth import build_kb
 
 
 class TestBuildIndex:
@@ -43,10 +44,8 @@ class TestBuildIndex:
 
     def test_term_frequencies(self):
         index = KbIndex([KnowledgeRecord(title="r", contents="drug drug heart")])
-        assert index.tf(FieldName.CONTENTS, "drug", "r") == 2
-        assert index.tf(FieldName.CONTENTS, "heart", "r") == 1
-        assert index.df(FieldName.CONTENTS, "drug") == 1
-        assert index.df(FieldName.CONTENTS, "heart") == 1
+        contents = index._postings[FieldName.CONTENTS]
+        assert contents == {"drug": {"r": 2}, "heart": {"r": 1}}
 
     def test_duplicate_title_rejected(self):
         records = [KnowledgeRecord(title="Same"), KnowledgeRecord(title="Same")]
@@ -131,6 +130,38 @@ class TestScore:
         for title in index.titles:
             assert index.score(q, title) >= 0.0
 
+    def test_unknown_title_raises(self):
+        index = KbIndex([KnowledgeRecord(title="X", contents="drug")])
+        with pytest.raises(KeyError):
+            index.score(parse_query("contents:drug"), "Y")
+
+    def test_scores_follow_the_query(self):
+        # the last query's scores are kept; another query, or the same
+        # query object with a clause added, must be scored afresh
+        records = [
+            KnowledgeRecord(title="A", contents="drug heart"),
+            KnowledgeRecord(title="B", contents="drug trial"),
+        ]
+        index = KbIndex(records)
+        q_drug = parse_query("contents:drug")
+        q_other = parse_query("contents:heart contents:trial wikiTitle:b")
+        for q in (q_drug, q_other, q_drug):
+            for title in ("A", "B"):
+                assert index.score(q, title) == KbIndex(records).score(q, title)
+        before = index.score(q_drug, "B")
+        q_drug.clauses.extend(parse_query("contents:heart").clauses)
+        assert index.score(q_drug, "B") == pytest.approx(0.5 * before, rel=1e-12)
+        assert index.score(q_drug, "B") == KbIndex(records).score(q_drug, "B")
+
+    def test_must_not_excludes_from_search_not_from_score(self):
+        index = KbIndex([
+            KnowledgeRecord(title="A", contents="drug heart"),
+            KnowledgeRecord(title="B", contents="drug trial"),
+        ])
+        q = parse_query("contents:drug -contents:heart")
+        assert [h.record_title for h in index.search(q, 5)] == ["B"]
+        assert index.score(q, "A") == index.score(parse_query("contents:drug"), "A") > 0
+
 
 class TestSearch:
     def test_single_match(self):
@@ -160,6 +191,26 @@ class TestSearch:
         index = KbIndex(records)
         hits = index.search(parse_query("contents:drug +categories:trials"), 10)
         assert [h.record_title for h in hits] == ["b"]
+
+    @pytest.mark.parametrize("text", [
+        "pageRank:1_0",
+        "contents:drug +pageRank:1_0",
+        "contents:drug -pageRank:1_0",
+        "contents:drug pageRank:1_0",
+        "contents:drug +pageRank:10",
+    ])
+    def test_pagerank_term_matches_decimal_digits_only(self, text):
+        # int() reads "1_0" as 10; the term names no rank at all
+        records = [
+            KnowledgeRecord(title="ten", contents="drug", page_rank=10),
+            KnowledgeRecord(title="one", contents="drug", page_rank=1),
+        ]
+        query = parse_query(text)
+        hits = KbIndex(records).search(query, 5)
+        expected = brute_force_search(records, query, 5)
+        assert [h.record_title for h in hits] == [t for t, _ in expected]
+        for hit, (_, score) in zip(hits, expected):
+            assert hit.score == pytest.approx(score, rel=1e-12)
 
     def test_three_record_ranking_matches_brute_force(self):
         records = [
@@ -264,6 +315,169 @@ class TestSearchOracle:
         assert index.search(q, 5) == index.search(q, 5)
 
 
+def _random_e2_query(rng: random.Random) -> FieldedQuery:
+    """Shaped like enrich.build_e2_query/enrich_e3: many repeated contents
+    clauses (raw surfaces, so some need normalizing), an optional wikiTitle
+    clause, occasional types clauses and the trailing page-rank floor."""
+    vocab = ["drug", "heart", "trial", "safety", "kaiser", "health", "usa",
+             "data", "Market", "oral,", "(study)", "absent"]
+    clauses = []
+    if rng.random() < 0.5:
+        clauses.append(QueryClause(FieldName.WIKI_TITLE, Occur.SHOULD,
+                                   Term(rng.choice(vocab + ["rec"]))))
+    clauses.extend(
+        QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(word))
+        for word in rng.choices(vocab, k=rng.randint(20, 60))
+    )
+    for kind in ("freebase:organization", "freebase:person"):
+        if rng.random() < 0.25:
+            occur = rng.choice([Occur.SHOULD, Occur.MUST])
+            clauses.append(QueryClause(FieldName.TYPES, occur, Term(kind)))
+    clauses.append(QueryClause(FieldName.PAGE_RANK, Occur.MUST_NOT,
+                               RangeBody(1, rng.randint(1, 9))))
+    return FieldedQuery(clauses)
+
+
+class TestE2SearchOracle:
+    def test_search_equals_exhaustive_scoring(self):
+        rng = random.Random(20261018)
+        for trial in range(80):
+            records = [_random_record(rng, i) for i in range(rng.randint(1, 30))]
+            index = KbIndex(records)
+            query = _random_e2_query(rng)
+            n = rng.randint(1, len(records) + 3)
+            hits = index.search(query, n)
+            expected = brute_force_search(records, query, n)
+            assert [h.record_title for h in hits] == [t for t, _ in expected], (
+                f"trial {trial}: ranking diverged"
+            )
+            for hit, (_, score) in zip(hits, expected):
+                assert hit.score == pytest.approx(score, rel=1e-9, abs=1e-12)
+                assert hit.score == index.score(query, hit.record_title)
+
+
+# E2 queries with repeated terms against tests/synth.build_kb(), and the
+# float.hex of every hit's score as clause-by-clause evaluation gave it.
+# Exact equality pins each record's summation order (clause order), which
+# decides ties that differ in the last bit; the approx oracle cannot.
+GOLDEN_QUERIES = [
+    "wikiTitle:alpha contents:brewing contents:brewing contents:carting contents:market"
+    " contents:brewed contents:brewing contents:notes contents:public contents:carting"
+    " -pageRank:[1 TO 5]",
+    "contents:sailing contents:welding contents:sailed contents:sailing contents:brewing"
+    " contents:sailing contents:report contents:report contents:welded contents:press"
+    " contents:twisting -pageRank:[1 TO 1]",
+    "wikiTitle:draft contents:docking contents:docked contents:docking contents:farming"
+    " contents:docking types:freebase:organization contents:meeting contents:farming"
+    " -pageRank:[1 TO 2]",
+    "contents:market contents:notes contents:market contents:public contents:market"
+    " contents:weekly contents:notes contents:absent +types:freebase:organization"
+    " contents:brewing -pageRank:[1 TO 5]",
+    "contents:market contents:notes contents:market contents:public contents:market"
+    " contents:weekly contents:notes types:freebase:organization contents:summary"
+    " contents:market contents:brewing contents:meeting contents:notes -pageRank:[1 TO 5]",
+]
+
+GOLDEN_HITS = [
+    [
+        ("Alpha Exchange", "0x1.8b0bd377f5fccp+3"),
+        ("Alpha Forum", "0x1.a7a6aad38d7f1p+2"),
+        ("scratch notes 23", "0x1.75dd3652c0ae1p+1"),
+        ("scratch notes 03", "0x1.62adbb2850a04p+1"),
+        ("Beta Exchange", "0x1.c272dbabb3f52p-1"),
+        ("Alpha Archive", "0x1.c9ad75b978268p-2"),
+        ("Alpha Assembly", "0x1.c9ad75b978268p-2"),
+        ("Alpha Bureau", "0x1.c9ad75b978268p-2"),
+        ("Alpha Council", "0x1.c9ad75b978268p-2"),
+        ("Alpha Guild", "0x1.c9ad75b978268p-2"),
+        ("Alpha Institute", "0x1.c9ad75b978268p-2"),
+        ("Alpha Network", "0x1.c9ad75b978268p-2"),
+        ("Alpha Society", "0x1.c9ad75b978268p-2"),
+    ],
+    [
+        ("bulk archive 09", "0x1.dc3751ea41bb2p+3"),
+        ("bulk archive 19", "0x1.dc3751ea41bb2p+3"),
+        ("bulk archive 29", "0x1.dc3751ea41bb2p+3"),
+        ("gd draft pile 04", "0x1.186c4d66cfb89p+3"),
+        ("gd draft stack 14", "0x1.186c4d66cfb89p+3"),
+        ("Gamma Exchange", "0x1.ccafa67b3ddd8p+2"),
+        ("scratch notes 03", "0x1.4114de316e9efp+0"),
+        ("Alpha Exchange", "0x1.997fb06d8c533p-1"),
+        ("Delta Exchange", "0x1.997fb06d8c533p-1"),
+        ("Delta Forum", "0x1.997fb06d8c533p-1"),
+        ("Gamma Council", "0x1.997fb06d8c533p-1"),
+        ("Gamma Forum", "0x1.997fb06d8c533p-1"),
+        ("scratch notes 13", "0x1.4114de316e9efp-2"),
+        ("ab draft pile 04", "0x1.6e445032b144bp-3"),
+        ("ab draft stack 14", "0x1.6e445032b144bp-3"),
+    ],
+    [
+        ("ab draft pile 04", "0x1.ad8249eab6f4bp+3"),
+        ("ab draft stack 14", "0x1.ad8249eab6f4bp+3"),
+        ("Alpha Council", "0x1.1987c94b50792p+3"),
+        ("Alpha Bureau", "0x1.f47f9ebec7f3ep+1"),
+        ("Beta Council", "0x1.f47f9ebec7f3ep-1"),
+        ("gd draft pile 04", "0x1.363ed8f881c39p-1"),
+        ("gd draft stack 14", "0x1.363ed8f881c39p-1"),
+        ("scratch notes 13", "0x1.886ed6ae31deap-2"),
+        ("Alpha Archive", "0x0.0p+0"),
+        ("Alpha Exchange", "0x0.0p+0"),
+        ("Alpha Guild", "0x0.0p+0"),
+        ("Beta Archive", "0x0.0p+0"),
+        ("Beta Exchange", "0x0.0p+0"),
+        ("Beta Guild", "0x0.0p+0"),
+        ("Delta Archive", "0x0.0p+0"),
+        ("Delta Exchange", "0x0.0p+0"),
+        ("Delta Guild", "0x0.0p+0"),
+        ("Gamma Archive", "0x0.0p+0"),
+        ("Gamma Exchange", "0x0.0p+0"),
+        ("Gamma Guild", "0x0.0p+0"),
+    ],
+    [
+        ("Alpha Exchange", "0x1.c272dbabb3f52p+0"),
+        ("Alpha Archive", "0x0.0p+0"),
+        ("Alpha Guild", "0x0.0p+0"),
+        ("Beta Archive", "0x0.0p+0"),
+        ("Beta Exchange", "0x0.0p+0"),
+        ("Beta Guild", "0x0.0p+0"),
+        ("Delta Archive", "0x0.0p+0"),
+        ("Delta Exchange", "0x0.0p+0"),
+        ("Delta Guild", "0x0.0p+0"),
+        ("Gamma Archive", "0x0.0p+0"),
+        ("Gamma Exchange", "0x0.0p+0"),
+        ("Gamma Guild", "0x0.0p+0"),
+    ],
+    [
+        ("scratch notes 23", "0x1.55481ccddd889p+4"),
+        ("scratch notes 03", "0x1.43c4ab4bdda55p+4"),
+        ("Alpha Exchange", "0x1.5a7fbcab76bc9p+0"),
+        ("scratch notes 13", "0x1.0faf3229d3c19p+0"),
+        ("Alpha Archive", "0x0.0p+0"),
+        ("Alpha Guild", "0x0.0p+0"),
+        ("Beta Archive", "0x0.0p+0"),
+        ("Beta Exchange", "0x0.0p+0"),
+        ("Beta Guild", "0x0.0p+0"),
+        ("Delta Archive", "0x0.0p+0"),
+        ("Delta Exchange", "0x0.0p+0"),
+        ("Delta Guild", "0x0.0p+0"),
+        ("Gamma Archive", "0x0.0p+0"),
+        ("Gamma Exchange", "0x0.0p+0"),
+        ("Gamma Guild", "0x0.0p+0"),
+    ],
+]
+
+
+class TestBitExactScores:
+    @pytest.mark.parametrize("i", range(len(GOLDEN_QUERIES)))
+    def test_scores_and_ties_bit_exact(self, i):
+        index = KbIndex(build_kb())
+        query = parse_query(GOLDEN_QUERIES[i])
+        hits = index.search(query, 60)
+        assert [(h.record_title, h.score.hex()) for h in hits] == GOLDEN_HITS[i]
+        for hit in hits:
+            assert hit.score == index.score(query, hit.record_title)
+
+
 class TestGetRecord:
     def test_kaiser_categories(self, kb_sample):
         index = KbIndex(kb_sample)
@@ -284,7 +498,7 @@ class TestPostingsConsistency:
         index = KbIndex(kb_sample)
         for fname, postings in index._postings.items():
             for term, by_title in postings.items():
-                assert index.df(fname, term) == len(by_title) > 0
+                assert len(by_title) > 0
                 assert all(tf > 0 for tf in by_title.values())
 
 
