@@ -13,6 +13,10 @@ factor. Only contents and wikiTitle clauses contribute scored terms;
 clauses on the remaining fields act as match-only filters that feed the
 coordination factor.
 
+Each field's postings are built the first time a query touches the field,
+so an index whose queries use only contents and types never tokenizes the
+titles, redirects, categories or linked concepts of its records.
+
 Queries are evaluated term at a time: the candidates are the records in
 the postings of the positive term clauses, and each positive clause adds
 its score mass and one coordination count to every candidate it matches.
@@ -138,39 +142,24 @@ def _field_terms(record: KnowledgeRecord, name: FieldName) -> list[str]:
     return terms
 
 
-_INDEXED_FIELDS = (
-    FieldName.CONTENTS,
-    FieldName.WIKI_TITLE,
-    FieldName.REDIRECTS,
-    FieldName.TYPES,
-    FieldName.CATEGORIES,
-    FieldName.LINKED_CONCEPTS,
-)
+# one field's postings (term -> {title: tf}) and token count per title
+_FieldIndex = tuple[dict[str, dict[str, int]], dict[str, int]]
 
 
 class KbIndex:
-    """Inverted index written once, at construction. The only other state
-    is the memo of the last query's scores, replaced whole, so concurrent
-    searches need no locking."""
+    """Records by title, and each field's postings built on first use (see
+    ``_field``), so the records must not change after construction. Every
+    built field and the memo of the last query's scores are stored whole,
+    so concurrent searches need no locking: two threads may build the same
+    field at once, and the second stores a result equal to the first."""
 
     def __init__(self, records: list[KnowledgeRecord]) -> None:
         self._records: dict[str, KnowledgeRecord] = {}
-        self._postings: dict[FieldName, dict[str, dict[str, int]]] = {
-            f: {} for f in _INDEXED_FIELDS
-        }
-        self._field_len: dict[FieldName, dict[str, int]] = {
-            f: {} for f in _INDEXED_FIELDS
-        }
         for record in records:
             if record.title in self._records:
                 raise DuplicateTitleError(f"duplicate record title: {record.title!r}")
             self._records[record.title] = record
-            for fname in _INDEXED_FIELDS:
-                terms = _field_terms(record, fname)
-                self._field_len[fname][record.title] = len(terms)
-                postings = self._postings[fname]
-                for term, tf in Counter(terms).items():
-                    postings.setdefault(term, {})[record.title] = tf
+        self._fields: dict[FieldName, _FieldIndex] = {}
         self._last_scores: tuple[list[QueryClause], dict[str, float]] = ([], {})
 
     def __len__(self) -> int:
@@ -183,6 +172,21 @@ class KbIndex:
     def get_record(self, title: str) -> KnowledgeRecord | None:
         return self._records.get(title)
 
+    def _field(self, fname: FieldName) -> _FieldIndex:
+        """The field's postings and token counts, built the first time a
+        query touches the field and stored whole."""
+        built = self._fields.get(fname)
+        if built is None:
+            postings: dict[str, dict[str, int]] = {}
+            field_len: dict[str, int] = {}
+            for title, record in self._records.items():
+                terms = _field_terms(record, fname)
+                field_len[title] = len(terms)
+                for term, tf in Counter(terms).items():
+                    postings.setdefault(term, {})[title] = tf
+            built = self._fields[fname] = (postings, field_len)
+        return built
+
     def _clause_matches(self, clause: QueryClause, title: str) -> bool:
         if isinstance(clause.body, RangeBody):
             return clause.body.lo <= self._records[title].page_rank <= clause.body.hi
@@ -190,7 +194,7 @@ class KbIndex:
         if clause.field is FieldName.PAGE_RANK:
             # isdecimal, not int()'s own check: int() accepts "1_0" as 10
             return term.isdecimal() and self._records[title].page_rank == int(term)
-        return title in self._postings[clause.field].get(term, ())
+        return title in self._field(clause.field)[0].get(term, ())
 
     def _clause_mass(self, clause: QueryClause, candidates: set[str]) -> dict[str, float]:
         """Score mass the clause adds to each candidate it matches:
@@ -198,11 +202,11 @@ class KbIndex:
         idf = 1 + ln(N / (df + 1)) and fieldNorm = 1 / sqrt(field token
         count); 0.0 for a match-only clause."""
         if isinstance(clause.body, Term) and clause.field is not FieldName.PAGE_RANK:
-            by_title = self._postings[clause.field].get(normalize_term(clause.body.text), {})
+            postings, field_len = self._field(clause.field)
+            by_title = postings.get(normalize_term(clause.body.text), {})
             if not by_title or clause.field not in SCORED_FIELDS:
                 return dict.fromkeys(by_title, 0.0)
             idf = 1.0 + math.log(len(self._records) / (len(by_title) + 1))
-            field_len = self._field_len[clause.field]
             return {
                 title: math.sqrt(tf) * idf * idf * (1.0 / math.sqrt(field_len[title]))
                 for title, tf in by_title.items()
@@ -227,7 +231,7 @@ class KbIndex:
                 )
                 continue
             term = normalize_term(clause.body.text)
-            candidates.update(self._postings[clause.field].get(term, ()))
+            candidates.update(self._field(clause.field)[0].get(term, ()))
         totals = dict.fromkeys(candidates, 0.0)
         matched = dict.fromkeys(candidates, 0)
         masses: dict[tuple[FieldName, Term | RangeBody], dict[str, float]] = {}
@@ -365,10 +369,11 @@ def load_kb_dump(path: str | Path) -> list[KnowledgeRecord]:
             title, rank, redirects, types, cats, linked, contents = fields
             if not title:
                 raise ValueError(f"{path}:{lineno}: empty title")
-            try:
-                page_rank = int(rank)
-            except ValueError:
+            # decimal digits after at most one '-': int() also reads "1_0",
+            # "+5" and " 5"
+            if not rank.removeprefix("-").isdecimal():
                 raise ValueError(f"{path}:{lineno}: bad page rank {rank!r}")
+            page_rank = int(rank)
             if page_rank < 0:
                 raise ValueError(f"{path}:{lineno}: negative page rank {page_rank}")
             split = lambda s: [item for item in s.split("|") if item]

@@ -71,7 +71,7 @@ def brute_force_search(
     def term_matches(record: KnowledgeRecord, clause) -> bool:
         term = _norm_term(clause.body.text)
         if clause.field is FieldName.PAGE_RANK:
-            return term.lstrip("-").isdigit() and record.page_rank == int(term)
+            return term.lstrip("-").isdecimal() and record.page_rank == int(term)
         return term in field_cache[record.title][clause.field]
 
     def clause_matches(record: KnowledgeRecord, clause) -> bool:

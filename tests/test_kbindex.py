@@ -2,9 +2,13 @@
 
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 
+from conftest import make_tagged
+from kbcat.enrich import enrich_e3
 from kbcat.kbindex import (
     DuplicateTitleError,
     FieldedQuery,
@@ -21,8 +25,11 @@ from kbcat.kbindex import (
     save_kb_dump,
     serialize_query,
 )
-from oracles import brute_force_search
+from kbcat.textproc import EntityTag
+from oracles import _record_field_terms, brute_force_search
 from synth import build_kb
+
+INDEXED_FIELDS = [f for f in FieldName if f is not FieldName.PAGE_RANK]
 
 
 class TestBuildIndex:
@@ -44,13 +51,73 @@ class TestBuildIndex:
 
     def test_term_frequencies(self):
         index = KbIndex([KnowledgeRecord(title="r", contents="drug drug heart")])
-        contents = index._postings[FieldName.CONTENTS]
-        assert contents == {"drug": {"r": 2}, "heart": {"r": 1}}
+        postings, field_len = index._field(FieldName.CONTENTS)
+        assert postings == {"drug": {"r": 2}, "heart": {"r": 1}}
+        assert field_len == {"r": 3}
 
     def test_duplicate_title_rejected(self):
         records = [KnowledgeRecord(title="Same"), KnowledgeRecord(title="Same")]
         with pytest.raises(DuplicateTitleError, match="Same"):
             KbIndex(records)
+
+
+# words whose lowercase is not the ASCII rule: a Greek capital sigma that
+# lowercases to a final sigma only at the end of a word, a dotted capital I
+# that lowercases to two code points, and a titlecase digraph
+_CASED_WORDS = ["ΑΣ.Β", "ΑΣ", "İstanbul", "İ", "ǅemal", "Straße", "drug", "HEART",
+                "K-Mart", "(Σοφία)"]
+
+
+def _random_cased_record(rng: random.Random, i: int) -> KnowledgeRecord:
+    def words(lo: int, hi: int) -> str:
+        return " ".join(rng.choices(_CASED_WORDS, k=rng.randint(lo, hi)))
+
+    return KnowledgeRecord(
+        title=f"{words(1, 3)} {i}",
+        redirects=[words(1, 2) for _ in range(rng.randint(0, 2))],
+        entity_types=rng.sample(["Freebase: Organization", "FREEBASE:person",
+                                 "Ίδρυμα: ΑΣ"], k=rng.randint(0, 2)),
+        categories=[words(1, 3) for _ in range(rng.randint(0, 3))],
+        linked_concepts=[words(1, 2) for _ in range(rng.randint(0, 2))],
+        contents=words(0, 12),
+        page_rank=rng.randint(0, 9),
+    )
+
+
+class TestLazyFields:
+    @pytest.mark.parametrize("kb", ["sample", "random"])
+    def test_field_equals_counter_over_field_terms(self, kb_sample, kb):
+        if kb == "sample":
+            records = kb_sample
+        else:
+            rng = random.Random(20261018)
+            records = [_random_cased_record(rng, i) for i in range(40)]
+        index = KbIndex(records)
+        for fname in INDEXED_FIELDS:
+            counts = {r.title: Counter(_record_field_terms(r, fname)) for r in records}
+            vocabulary = set().union(*counts.values())
+            expected = {
+                term: {title: c[term] for title, c in counts.items() if term in c}
+                for term in vocabulary
+            }
+            postings, field_len = index._field(fname)
+            assert postings == expected, fname
+            assert field_len == {title: c.total() for title, c in counts.items()}, fname
+
+    @pytest.mark.parametrize("title_term, tags, built", [
+        (None, None, {FieldName.CONTENTS}),
+        ("usa", None, {FieldName.CONTENTS, FieldName.WIKI_TITLE}),
+        (None, [EntityTag.ORGANIZATION, EntityTag.NONE],
+         {FieldName.CONTENTS, FieldName.TYPES}),
+    ])
+    def test_search_builds_only_the_fields_it_queries(self, kb_sample, title_term,
+                                                      tags, built):
+        # E3 without entity tags is exactly E2's query
+        index = KbIndex(kb_sample)
+        assert index._fields == {}
+        enrich_e3(make_tagged(["kaiser", "health"], tags=tags), index, 5,
+                  title_term=title_term)
+        assert set(index._fields) == built
 
 
 class TestParseQuery:
@@ -198,9 +265,11 @@ class TestSearch:
         "contents:drug -pageRank:1_0",
         "contents:drug pageRank:1_0",
         "contents:drug +pageRank:10",
+        "contents:drug +pageRank:²",
     ])
     def test_pagerank_term_matches_decimal_digits_only(self, text):
-        # int() reads "1_0" as 10; the term names no rank at all
+        # int() reads "1_0" as 10 and rejects "²", which isdigit() accepts;
+        # neither term names a rank
         records = [
             KnowledgeRecord(title="ten", contents="drug", page_rank=10),
             KnowledgeRecord(title="one", contents="drug", page_rank=1),
@@ -496,7 +565,8 @@ class TestGetRecord:
 class TestPostingsConsistency:
     def test_tf_positive_iff_df_positive(self, kb_sample):
         index = KbIndex(kb_sample)
-        for fname, postings in index._postings.items():
+        for fname in INDEXED_FIELDS:
+            postings, _ = index._field(fname)
             for term, by_title in postings.items():
                 assert len(by_title) > 0
                 assert all(tf > 0 for tf in by_title.values())
@@ -518,6 +588,23 @@ class TestDumpIO:
         path = tmp_path / "bad.tsv"
         path.write_text("t\tnan\t\t\t\t\tc\n")
         with pytest.raises(ValueError, match="page rank"):
+            load_kb_dump(path)
+
+    @pytest.mark.parametrize("rank, message", [
+        ("1_0", "bad page rank '1_0'"),
+        ("+5", r"bad page rank '\+5'"),
+        (" 5", "bad page rank ' 5'"),
+        ("5 ", "bad page rank '5 '"),
+        ("²", "bad page rank '²'"),
+        ("-", "bad page rank '-'"),
+        ("", "bad page rank ''"),
+        ("-3", "negative page rank -3"),
+    ])
+    def test_rank_cells_int_would_read(self, tmp_path, rank, message):
+        # int() reads "1_0" as 10, "+5" and " 5" as 5
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"ok\t1\t\t\t\t\tc\nt\t{rank}\t\t\t\t\tc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
             load_kb_dump(path)
 
     def test_pipe_rejected_on_save(self, tmp_path):
