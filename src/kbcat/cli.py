@@ -65,8 +65,7 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
     docs, categories = load_corpus(cfg)
     doc = next((d for d in docs if d.id == args.doc_id), None)
     if doc is None:
-        print(f"document {args.doc_id!r} not found", file=sys.stderr)
-        return 1
+        raise ValueError(f"document {args.doc_id!r} not found")
     preset = cfg.resolve_preset()
     index = KbIndex(load_kb_dump(cfg.kb_dump)) if preset.strategies else None
     prepared = prepare_documents([doc], cfg, index, resources)[doc.id]
@@ -89,8 +88,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for item in args.runs:
         name, _, path = item.partition("=")
         if not path:
-            print(f"--runs entries look like NAME=PATH, got {item!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"--runs entries look like NAME=PATH, got {item!r}")
         run_paths.append((name, Path(path)))
     table = improvement_table_from_files(
         Path(args.baseline), run_paths, with_t_test=args.t_test

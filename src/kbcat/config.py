@@ -190,7 +190,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         updates["out_dir"] = str(path if path.is_absolute() else base / path)
 
     cfg = replace(cfg, **updates)
-    if cfg.preset != "baseline" and not cfg.kb_dump:
+    # only enrichment reads the KB: custom T1-T4 without strategies does not
+    if cfg.resolve_preset().strategies and not cfg.kb_dump:
         raise ConfigError(f"preset {cfg.preset!r} needs a kb_dump path")
     return cfg
 

@@ -69,8 +69,13 @@ def _decode_entities(text: str) -> str:
     def repl(m: re.Match) -> str:
         name = m.group(1)
         if name.startswith("#"):
-            return chr(int(name[1:]))
-        if name.lower() in _KNOWN_ENTITIES:
+            # past U+10FFFF (int() refuses very long digit strings) or a surrogate
+            digits = name[1:].lstrip("0") or "0"
+            if len(digits) <= 7:
+                code = int(digits)
+                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                    return chr(code)
+        elif name.lower() in _KNOWN_ENTITIES:
             return _KNOWN_ENTITIES[name.lower()]
         logger.warning("unknown SGML entity &%s; kept verbatim", name)
         return m.group(0)
@@ -88,7 +93,8 @@ def load_reuters_sgml(data: bytes | str) -> list[RawDocument]:
     Yields one document per REUTERS element. Labels come from the D
     children of TOPICS; the split hint follows the ModApte rule
     (LEWISSPLIT plus TOPICS attribute). Character entities are decoded;
-    unknown ones are kept verbatim with a warning.
+    unknown ones, and numeric references to no character (past U+10FFFF
+    or a surrogate), are kept verbatim with a warning.
     """
     if isinstance(data, bytes):
         # latin-1 keeps byte offsets equal to character offsets

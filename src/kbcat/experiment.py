@@ -117,18 +117,14 @@ def make_fold_runner(prepared: dict, categories: tuple[str, ...], cfg: Experimen
 
     def run_fold(train_docs, test_docs):
         train_tagged = [prepared[d.id] for d in train_docs]
+        test_tagged = [prepared[d.id] for d in test_docs]
         vocab = fit_vocabulary(train_tagged)
-        x_train = [vectorize(t, vocab) for t in train_tagged]
-        ovr = train_one_vs_rest(
-            x_train, [t.labels for t in train_tagged], categories,
-            train_cfg, dim=len(vocab),
-        )
-        gold, pred = [], []
-        for doc in test_docs:
-            tagged = prepared[doc.id]
-            x = vectorize(tagged, vocab)
-            gold.append(set(tagged.labels))
-            pred.append(predict(ovr.models, x, mode) if ovr.models else set())
+        ovr = train_one_vs_rest(vectorize(train_tagged, vocab),
+                                [t.labels for t in train_tagged], categories, train_cfg)
+        gold = [set(t.labels) for t in test_tagged]
+        x_test = vectorize(test_tagged, vocab)
+        pred = (predict(ovr.models, x_test, mode) if ovr.models
+                else [set() for _ in test_tagged])
         artifacts = {"vocabulary": vocab, "models": ovr.models,
                      "skipped_categories": ovr.skipped}
         return gold, pred, artifacts

@@ -3,13 +3,19 @@
 Original-text tokens are lowercased and stemmed here; enrichment-injected
 concept tokens are lowercased but kept unstemmed so multi-word concepts
 like ``Kaiser_Permanente`` survive as single features.
+
+``vectorize`` turns a list of documents into one CSR matrix, which
+``learn`` trains on and predicts from as it is.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+
+import scipy.sparse as sp
 
 from .porter import porter_stem
 from .textproc import TaggedDocument
@@ -18,15 +24,9 @@ _stem = lru_cache(maxsize=1 << 16)(porter_stem)
 
 
 @dataclass(frozen=True)
-class SparseVector:
+class SparseVector:  # a hand-made row: train_binary_svm takes a list of them
     indices: tuple[int, ...]  # strictly increasing
     values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
 
 
 @dataclass
@@ -70,21 +70,21 @@ def idf(vocab: Vocabulary, term: str) -> float:
     return math.log((1 + vocab.n_docs) / (1 + vocab.df.get(term, 0))) + 1.0
 
 
-def vectorize(doc: TaggedDocument, vocab: Vocabulary) -> SparseVector:
-    """TF-IDF vector over the fitted vocabulary, L2-normalized.
+def vectorize(docs: list[TaggedDocument], vocab: Vocabulary) -> sp.csr_matrix:
+    """TF-IDF rows over the fitted vocabulary, each L2-normalized, one per
+    document in input order; the matrix is ``len(vocab)`` columns wide.
 
     Out-of-vocabulary terms are dropped; a document with no in-vocabulary
-    terms becomes the zero vector.
+    terms becomes an empty row. Each row's norm is a Python sum over its
+    entries in column order, so every value is the same float whatever
+    the other rows hold.
     """
-    counts: dict[str, int] = {}
-    for term in document_terms(doc):
-        if term in vocab.index:
-            counts[term] = counts.get(term, 0) + 1
-    if not counts:
-        return SparseVector(indices=(), values=())
-    pairs = sorted((vocab.index[t], n * idf(vocab, t)) for t, n in counts.items())
-    norm = math.sqrt(sum(w * w for _, w in pairs))
-    return SparseVector(
-        indices=tuple(i for i, _ in pairs),
-        values=tuple(w / norm for _, w in pairs),
-    )
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        counts = Counter(t for t in document_terms(doc) if t in vocab.index)
+        pairs = sorted((vocab.index[t], n * idf(vocab, t)) for t, n in counts.items())
+        norm = math.sqrt(sum(w * w for _, w in pairs))
+        indices.extend(i for i, _ in pairs)
+        data.extend(w / norm for _, w in pairs)
+        indptr.append(len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(len(docs), len(vocab)))

@@ -10,6 +10,7 @@ selection), keeping the equality constraint from the unregularized bias.
 The bias is recovered by exact one-dimensional minimization of the hinge
 sum, and the duality gap certifies how far the incumbent is from the
 optimum. The procedure is deterministic: no randomness is consumed.
+Every category trains on the fold's one CSR matrix from ``vectorize``.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class LinearModel:
     certified: bool = False
     rel_gap: float = math.nan
 
-    def decision(self, x: SparseVector) -> float:
-        w = self.weights
-        dim = w.shape[0]
-        total = self.bias
-        for i, v in zip(x.indices, x.values):
-            if i < dim:
-                total += w[i] * v
-        return float(total)
-
 
 class PredictionMode:
     MULTI_LABEL = "multi_label"
@@ -65,23 +57,10 @@ class PredictionMode:
 
 
 def _to_csr(X: list[SparseVector], dim: int) -> sp.csr_matrix:
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for x in X:
-        indices.extend(x.indices)
-        data.extend(x.values)
-        indptr.append(len(indices))
     return sp.csr_matrix(
-        (np.array(data, dtype=np.float64),
-         np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(X), dim),
-    )
-
-
-def infer_dim(X: list[SparseVector]) -> int:
-    return max((x.indices[-1] + 1 for x in X if x.indices), default=0)
+        ([v for x in X for v in x.values], [i for x in X for i in x.indices],
+         np.cumsum([0] + [len(x.indices) for x in X])),
+        shape=(len(X), dim))
 
 
 def _best_bias(f: np.ndarray, ya: np.ndarray) -> float:
@@ -99,12 +78,13 @@ def _primal(f: np.ndarray, ya: np.ndarray, b: float, wsq: float, c: float) -> fl
 
 
 def train_binary_svm(
-    X: list[SparseVector],
+    X: sp.csr_matrix | list[SparseVector],
     y: list[int],
     cfg: TrainConfig | None = None,
     dim: int | None = None,
 ) -> LinearModel:
-    """Train one binary classifier; labels must be +1 or -1.
+    """Train one binary classifier on the rows of ``X``; labels must be +1
+    or -1. ``dim`` is only read for a list of rows, as their width.
 
     Single-class input degenerates to a zero weight vector with the class
     sign as bias (and a warning). Otherwise the returned model's primal
@@ -114,12 +94,13 @@ def train_binary_svm(
     model's ``certified`` and ``rel_gap`` record which of the two happened.
     """
     cfg = cfg or TrainConfig()
-    if not X or len(X) != len(y):
+    if isinstance(X, list):
+        X = _to_csr(X, dim)
+    n, dim = X.shape
+    if n == 0 or n != len(y):
         raise ValueError("X and y must be non-empty and the same length")
     if any(label not in (-1, 1) for label in y):
         raise ValueError("labels must be +1 or -1")
-    if dim is None:
-        dim = infer_dim(X)
 
     classes = set(y)
     if len(classes) == 1:
@@ -129,16 +110,14 @@ def train_binary_svm(
                            objective=0.0, objective_history=[0.0],
                            certified=True, rel_gap=0.0)
 
-    n = len(X)
     c = float(cfg.c)
-    Xs = _to_csr(X, dim)
     ya = np.asarray(y, dtype=np.float64)
 
-    diag = np.asarray(Xs.multiply(Xs).sum(axis=1)).ravel()
+    diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
     snap = 1e-12 * max(1.0, c)
 
     if n <= _GRAM_LIMIT:
-        gram = (Xs @ Xs.T).toarray()
+        gram = (X @ X.T).toarray()
 
         def gram_row(i: int) -> np.ndarray:
             return gram[i]
@@ -150,10 +129,10 @@ def train_binary_svm(
         work = np.zeros(dim)
 
         def gram_row(i: int) -> np.ndarray:
-            start, end = Xs.indptr[i], Xs.indptr[i + 1]
-            cols = Xs.indices[start:end]
-            work[cols] = Xs.data[start:end]
-            row = Xs @ work
+            start, end = X.indptr[i], X.indptr[i + 1]
+            cols = X.indices[start:end]
+            work[cols] = X.data[start:end]
+            row = X @ work
             work[cols] = 0.0
             return row
 
@@ -234,7 +213,7 @@ def train_binary_svm(
         logger.warning(
             "SVM stopped uncertified after %d epochs: relative duality gap "
             "%.3g above tolerance %g", len(history), rel_gap, cfg.tolerance)
-    w = np.asarray(Xs.T @ (best["alpha"] * ya)).ravel()
+    w = np.asarray(X.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
                        objective=best["P"], objective_history=history,
                        certified=certified, rel_gap=rel_gap)
@@ -247,19 +226,17 @@ class OneVsRestResult:
 
 
 def train_one_vs_rest(
-    X: list[SparseVector],
+    X: sp.csr_matrix,
     labelsets: list[set[str]],
     categories: list[str] | tuple[str, ...],
     cfg: TrainConfig | None = None,
-    dim: int | None = None,
 ) -> OneVsRestResult:
     """One binary model per category, trained independently in category
-    order. Categories with no positive example are skipped with a warning.
+    order on the same matrix. Categories with no positive example are
+    skipped with a warning.
     """
-    if len(X) != len(labelsets):
+    if X.shape[0] != len(labelsets):
         raise ValueError("X and labelsets must be the same length")
-    if dim is None:
-        dim = infer_dim(X)
     models: dict[str, LinearModel] = {}
     skipped: list[str] = []
     for category in categories:
@@ -268,28 +245,38 @@ def train_one_vs_rest(
             logger.warning("category %r has no positive examples; skipped", category)
             skipped.append(category)
             continue
-        models[category] = train_binary_svm(X, y, cfg, dim=dim)
+        models[category] = train_binary_svm(X, y, cfg)
     return OneVsRestResult(models=models, skipped=skipped)
 
 
+def decision_values(models: dict[str, LinearModel], X: sp.csr_matrix) -> np.ndarray:
+    """``bias + w . x`` for every row of ``X`` (rows) and model (columns,
+    in category order).
+
+    Each value starts from the bias and adds ``w[i] * x[i]`` in ascending
+    column order: a leading column of ones on ``X`` meets the biases in
+    front of the weights, and the CSR product adds a row's terms in column
+    order. ``X @ W.T + b`` would round differently, and a value near 0 can
+    flip a label.
+    """
+    coef = np.column_stack([np.concatenate(([m.bias], m.weights)) for m in models.values()])
+    return sp.hstack([np.ones((X.shape[0], 1)), X], format="csr") @ coef
+
+
 def predict(
-    models: dict[str, LinearModel], x: SparseVector, mode: str
-) -> set[str]:
-    """Multi-label: every category with a positive decision value (may be
-    empty). Single-label: the argmax category, ties broken by category
-    order."""
+    models: dict[str, LinearModel], X: sp.csr_matrix, mode: str
+) -> list[set[str]]:
+    """One label set per row of ``X``. Multi-label: every category with a
+    positive decision value (may be empty). Single-label: the argmax
+    category, ties broken by category order."""
     if not models:
         raise ValueError("no models to predict with")
+    categories = list(models)
+    values = decision_values(models, X)
     if mode == PredictionMode.MULTI_LABEL:
-        return {c for c, m in models.items() if m.decision(x) > 0.0}
+        return [{categories[j] for j in np.flatnonzero(row > 0.0)} for row in values]
     if mode == PredictionMode.SINGLE_LABEL:
-        best_category = None
-        best_value = -math.inf
-        for category, model in models.items():
-            value = model.decision(x)
-            if value > best_value:
-                best_category, best_value = category, value
-        return {best_category}
+        return [{categories[j]} for j in values.argmax(axis=1)]
     raise ValueError(f"unknown prediction mode {mode!r}")
 
 

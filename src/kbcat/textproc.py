@@ -125,7 +125,11 @@ class Gazetteer:
                     surface, kind = line.split("\t")
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: expected surface<TAB>KIND")
-                gaz.add(surface, EntityTag[kind.strip().upper()])
+                tag = EntityTag.__members__.get(kind.strip().upper())
+                if tag in (None, EntityTag.NONE):
+                    raise ValueError(f"{path}:{lineno}: unknown entity kind {kind.strip()!r}, "
+                                     "expected PERSON, LOCATION or ORGANIZATION")
+                gaz.add(surface, tag)
         return gaz
 
 

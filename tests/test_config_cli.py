@@ -1,5 +1,6 @@
 """Configuration parsing, experiment orchestration, artifacts, and the CLI."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="kb_dump"):
             parse_config_text(_config_text(separable_corpus, preset="A4"))
 
+    def test_custom_representation_needs_no_kb(self, separable_corpus, tmp_path):
+        # the representation-only (T1-T4) comparison never loads a KB
+        cfg = parse_config_text(_config_text(
+            separable_corpus, preset="custom", representation="T2",
+            out_dir=tmp_path / "run"))
+        assert cfg.kb_dump == ""
+        result = run_experiment(cfg)
+        assert "timing.index" not in result.manifest
+        assert result.micro_f == 1.0
+
+    def test_custom_strategies_require_kb(self, separable_corpus):
+        with pytest.raises(ConfigError, match="needs a kb_dump path"):
+            parse_config_text(_config_text(
+                separable_corpus, preset="custom", representation="T2", strategies="E1"))
+
     def test_comments_and_blank_lines(self, separable_corpus):
         text = "# leading comment\n\n" + _config_text(separable_corpus) + \
                "svm_c = 2.0  # inline comment\n"
@@ -165,6 +181,39 @@ class TestRunExperiment:
         assert names == ["manifest.txt", "metrics.tsv",
                          "models_fold0.tsv", "models_fold1.tsv",
                          "models_fold2.tsv", "models_fold3.tsv"]
+
+    # sha256 of each artifact of a 4-fold CV run on tests/synth.py data
+    # with save_models = true, recorded when the fold features were still
+    # per-document vectors and every decision value a per-document loop;
+    # a refactor of features or learning must leave every byte as it was
+    GOLDEN_SHA256 = {
+        ("A4", "single"): {
+            "metrics.tsv": "8553cf0806c843b07eeaa20410b1e1caef2032d023082979707cb0923681e8cc",
+            "models_fold0.tsv": "2da3f0d77a401fed2ca563585c7a47f8e3d578913683d34690aaa0166e281300",
+            "models_fold1.tsv": "0718c1068d3cf886da274f6f9a7bd22fcb06a27a7faab837812a36be8c03ec68",
+            "models_fold2.tsv": "80a18acd7c93f76ba6b232159479c939f72f00e946abb0319461cf8afdccac17",
+            "models_fold3.tsv": "38c17433d6dfbb34bcc95a3717e63d8d4d30e56cb3b2547d6b2062c03820bb64",
+        },
+        ("baseline", "multi"): {
+            "metrics.tsv": "f835a47e0fd89318b17f6f24f985a54de315dbb7e21b300ad7816e583618bfe1",
+            "models_fold0.tsv": "212dab00f12a1191e8344113795578889cc79eb82e4f2fa9d30927305fafa74c",
+            "models_fold1.tsv": "a8b00fc4552c58610b3391eab32a0a60ad59f422ef261032d7dc320ca97c36ba",
+            "models_fold2.tsv": "0d98fd65c54f00616229f61d97650b08ae8034002d7d23a666d1c78fb15d836c",
+            "models_fold3.tsv": "f2be226e9bcbb55fe51978698b265b6913a32c03a3f697a1dd33d7e9481e93fb",
+        },
+    }
+
+    @pytest.mark.parametrize("preset, label_mode", sorted(GOLDEN_SHA256))
+    def test_cv_artifacts_match_golden_sha256(self, tmp_path, preset, label_mode):
+        synth.write_corpus_tree(synth.build_docs(), tmp_path / "corpus")
+        synth.write_kb_dump(synth.build_kb(), tmp_path / "kb.tsv")
+        out = tmp_path / "run"
+        run_experiment(parse_config_text(_config_text(
+            tmp_path / "corpus", kb_dump=tmp_path / "kb.tsv", seed=7, preset=preset,
+            label_mode=label_mode, save_models="true", out_dir=out)))
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in out.iterdir() if p.name != "manifest.txt"}
+        assert found == self.GOLDEN_SHA256[preset, label_mode]
 
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -332,6 +381,10 @@ class TestCli:
         "malformed_dump_enrich_preview",
         "zero_f_baseline",
         "non_numeric_metrics_cell",
+        "unknown_doc_id_enrich_preview",
+        "runs_entry_without_equals",
+        "unknown_gazetteer_kind_enrich_preview",
+        "unknown_gazetteer_kind_run",
     ])
     def test_bad_input_is_one_error_line(self, case, separable_corpus, tmp_path,
                                          capsys):
@@ -349,6 +402,7 @@ class TestCli:
             return ["report", "--baseline", str(tmp_path / f"{baseline}.tsv"),
                     "--runs", f"A4={tmp_path / f'{run}.tsv'}"]
 
+        message = "error: "
         if case == "non_numeric_config_value":
             cfg_path.write_text(_config_text(separable_corpus, k="abc"),
                                 encoding="utf-8")
@@ -366,12 +420,35 @@ class TestCli:
                     "--doc-id", "spam/000"]
         elif case == "zero_f_baseline":
             argv = report("zero", "good")
-        else:
+        elif case == "non_numeric_metrics_cell":
             argv = report("good", "text")
+        elif case == "unknown_doc_id_enrich_preview":
+            cfg_path.write_text(_config_text(separable_corpus), encoding="utf-8")
+            argv = ["enrich", "preview", "--config", str(cfg_path),
+                    "--doc-id", "ghost/999"]
+            message = "error: document 'ghost/999' not found"
+        elif case == "runs_entry_without_equals":
+            argv = report("good", "good")[:-1] + ["foo"]
+            message = "error: --runs entries look like NAME=PATH, got 'foo'"
+        else:
+            gazetteer = tmp_path / "gazetteer.tsv"
+            gazetteer.write_text("Reno\tPERSON\nFido\tANIMAL\n", encoding="utf-8")
+            # T2 tags entities, so it reads the gazetteer; no KB needed
+            cfg_path.write_text(_config_text(separable_corpus, preset="custom",
+                                             representation="T2", gazetteer=gazetteer),
+                                encoding="utf-8")
+            bad_kind = f"{gazetteer.resolve()}:2: unknown entity kind 'ANIMAL'"
+            if case.endswith("_run"):
+                argv = ["run", "--config", str(cfg_path)]
+                message = f"error: stage 'resources' failed: {bad_kind}"
+            else:
+                argv = ["enrich", "preview", "--config", str(cfg_path),
+                        "--doc-id", "spam/000"]
+                message = f"error: {bad_kind}"
 
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert err.startswith(message) and err.count("\n") == 1, err
         assert "Traceback" not in err
 
     def test_preset_override_is_validated(self, separable_corpus, tmp_path, capsys):

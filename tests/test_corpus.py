@@ -71,6 +71,25 @@ class TestReutersSgml:
         assert docs[0].body == "x &bogus; y"
         assert any("bogus" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("ref", [
+        "&#99999999999;", "&#1114112;", "&#55296;", "&#57343;",
+        pytest.param("&#" + "9" * 5000 + ";", id="5000-digits"),
+    ])
+    def test_numeric_reference_to_no_character_kept_with_warning(self, ref, caplog):
+        text = SNIPPET.replace("<BODY>b</BODY>", f"<BODY>x {ref} y</BODY>")
+        with caplog.at_level(logging.WARNING):
+            docs = load_reuters_sgml(text.encode())
+        assert docs[0].body == f"x {ref} y"
+        assert any(ref[1:-1] in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("ref, char", [
+        ("&#1114111;", "\U0010ffff"), ("&#55295;", "\ud7ff"), ("&#57344;", "\ue000"),
+        ("&#00000000065;", "A"),
+    ])
+    def test_numeric_reference_at_the_edges_decoded(self, ref, char):
+        text = SNIPPET.replace("<BODY>b</BODY>", f"<BODY>x {ref} y</BODY>")
+        assert load_reuters_sgml(text.encode())[0].body == f"x {char} y"
+
     def test_places_d_elements_are_not_labels(self):
         text = (
             '<REUTERS LEWISSPLIT="TRAIN" TOPICS="YES" NEWID="2">'

@@ -62,26 +62,31 @@ class TestFitVocabulary:
         assert sorted(vocab.index.values()) == [0, 1, 2]
 
 
+def _row(X, r: int) -> tuple[list[int], list[float]]:
+    start, end = X.indptr[r], X.indptr[r + 1]
+    return X.indices[start:end].tolist(), X.data[start:end].tolist()
+
+
 class TestVectorize:
     def _vocab(self):
         return fit_vocabulary([make_tagged(["a", "b"]), make_tagged(["a"])])
 
     def test_single_term_normalizes_to_one(self):
-        x = vectorize(make_tagged(["a"]), self._vocab())
-        assert x.indices == (self._vocab().index["a"],)
-        assert x.values == (1.0,)
+        X = vectorize([make_tagged(["a"])], self._vocab())
+        assert X.shape == (1, 2)
+        assert _row(X, 0) == ([self._vocab().index["a"]], [1.0])
 
     def test_hand_computed_weights(self):
         # N=2: idf(a) = ln(3/3)+1 = 1, idf(b) = ln(3/2)+1 = 1.4055
-        x = vectorize(make_tagged(["a", "b"]), self._vocab())
-        assert x.values[0] == pytest.approx(0.5797, abs=1e-3)
-        assert x.values[1] == pytest.approx(0.8149, abs=1e-3)
+        _, values = _row(vectorize([make_tagged(["a", "b"])], self._vocab()), 0)
+        assert values[0] == pytest.approx(0.5797, abs=1e-3)
+        assert values[1] == pytest.approx(0.8149, abs=1e-3)
         pre_b = math.log(3 / 2) + 1
-        assert x.values[1] / x.values[0] == pytest.approx(pre_b, rel=1e-9)
+        assert values[1] / values[0] == pytest.approx(pre_b, rel=1e-9)
 
     def test_oov_only_doc_is_zero_vector(self):
-        x = vectorize(make_tagged(["zzz"]), self._vocab())
-        assert x.indices == () and x.values == ()
+        X = vectorize([make_tagged(["zzz"])], self._vocab())
+        assert X.shape == (1, 2) and X.nnz == 0
 
     def test_norm_is_one_on_random_docs(self):
         rng = random.Random(4)
@@ -89,21 +94,37 @@ class TestVectorize:
         docs = [make_tagged([rng.choice(words) for _ in range(rng.randint(1, 12))])
                 for _ in range(30)]
         vocab = fit_vocabulary(docs)
-        for doc in docs:
-            x = vectorize(doc, vocab)
-            assert abs(x.norm() - 1.0) < 1e-9
-            assert list(x.indices) == sorted(set(x.indices))
+        X = vectorize(docs, vocab)
+        assert X.shape == (30, len(vocab))
+        for r in range(30):
+            indices, values = _row(X, r)
+            assert abs(math.sqrt(sum(v * v for v in values)) - 1.0) < 1e-9
+            assert indices == sorted(set(indices))
+
+    def test_rows_follow_input_order_and_match_single_docs(self):
+        rng = random.Random(5)
+        words = ["alpha", "beta", "gamma", "delta", "zzz"]
+        docs = [make_tagged([rng.choice(words) for _ in range(rng.randint(0, 9))])
+                for _ in range(25)]
+        vocab = fit_vocabulary(docs[:15])
+        X = vectorize(docs, vocab)
+        for r, doc in enumerate(docs):
+            alone = vectorize([doc], vocab)
+            assert _row(X, r) == _row(alone, 0)  # bitwise: == on floats
+        assert vectorize(list(reversed(docs)), vocab)[0].toarray().tolist() == \
+            X[24].toarray().tolist()
+        assert vectorize([], vocab).shape == (0, len(vocab))
 
     def test_duplicating_every_token_leaves_vector_unchanged(self):
         vocab = self._vocab()
-        once = vectorize(make_tagged(["a", "b"]), vocab)
-        twice = vectorize(make_tagged(["a", "b", "a", "b"]), vocab)
-        assert once.indices == twice.indices
-        for u, v in zip(once.values, twice.values):
+        once = vectorize([make_tagged(["a", "b"])], vocab)
+        twice = vectorize([make_tagged(["a", "b", "a", "b"])], vocab)
+        assert _row(once, 0)[0] == _row(twice, 0)[0]
+        for u, v in zip(_row(once, 0)[1], _row(twice, 0)[1]):
             assert u == pytest.approx(v, rel=1e-12)
 
     def test_vectorizing_never_mutates_vocabulary(self):
         vocab = self._vocab()
         snapshot = copy.deepcopy(vocab)
-        vectorize(make_tagged(["a", "zzz", "new_term"]), vocab)
+        vectorize([make_tagged(["a", "zzz", "new_term"]), make_tagged(["b"])], vocab)
         assert vocab == snapshot

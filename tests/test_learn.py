@@ -1,5 +1,6 @@
 """SVM trainer checks: analytic fixture, brute-force oracle battery,
-margin and determinism properties, one-vs-rest, prediction."""
+margin and determinism properties, one-vs-rest, decision values and
+prediction."""
 
 import logging
 import math
@@ -7,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kbcat import learn
 from kbcat.features import SparseVector
@@ -14,6 +16,7 @@ from kbcat.learn import (
     LinearModel,
     PredictionMode,
     TrainConfig,
+    decision_values,
     load_models,
     predict,
     save_models,
@@ -29,6 +32,10 @@ def _sv(values: list[float]) -> SparseVector:
                         values=tuple(v for _, v in pairs))
 
 
+def _csr(rows: list[list[float]]) -> sp.csr_matrix:
+    return sp.csr_matrix(np.array(rows, dtype=np.float64))
+
+
 def _dense(X: list[SparseVector], dim: int) -> np.ndarray:
     out = np.zeros((len(X), dim))
     for row, x in zip(out, X):
@@ -39,21 +46,31 @@ def _dense(X: list[SparseVector], dim: int) -> np.ndarray:
 
 class TestAnalyticFixture:
     def test_two_point_solution(self):
-        X = [_sv([2.0]), _sv([-2.0])]
+        X = _csr([[2.0], [-2.0]])
         y = [1, -1]
-        model = train_binary_svm(X, y, TrainConfig(c=10.0), dim=1)
+        model = train_binary_svm(X, y, TrainConfig(c=10.0))
         assert model.weights[0] == pytest.approx(0.5, abs=1e-4)
         assert model.bias == pytest.approx(0.0, abs=1e-4)
         assert model.objective == pytest.approx(0.125, abs=1e-6)
         # both margins are exactly 1
-        assert model.decision(X[0]) == pytest.approx(1.0, abs=1e-6)
-        assert model.decision(X[1]) == pytest.approx(-1.0, abs=1e-6)
+        values = decision_values({"m": model}, X)[:, 0]
+        assert values == pytest.approx([1.0, -1.0], abs=1e-6)
+
+    def test_list_of_rows_trains_the_same_model(self):
+        X = [_sv([2.0, 0.0]), _sv([0.0, -1.0]), _sv([-2.0, 0.5])]
+        as_list = train_binary_svm(X, [1, -1, -1], TrainConfig(c=10.0), dim=3)
+        as_csr = train_binary_svm(_csr([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                                        [-2.0, 0.5, 0.0]]), [1, -1, -1],
+                                  TrainConfig(c=10.0))
+        assert as_list.weights.shape == (3,)
+        assert np.array_equal(as_list.weights, as_csr.weights)
+        assert as_list.bias == as_csr.bias
 
 
 class TestDegenerate:
     def test_single_class_positive(self, caplog):
         with caplog.at_level(logging.WARNING):
-            model = train_binary_svm([_sv([1.0]), _sv([2.0])], [1, 1], dim=1)
+            model = train_binary_svm(_csr([[1.0], [2.0]]), [1, 1])
         assert model.bias == 1.0
         assert not model.weights.any()
         assert model.objective == 0.0
@@ -61,7 +78,7 @@ class TestDegenerate:
         assert any("single-class" in rec.message for rec in caplog.records)
 
     def test_single_class_negative(self):
-        model = train_binary_svm([_sv([1.0])], [-1], dim=1)
+        model = train_binary_svm(_csr([[1.0]]), [-1])
         assert model.bias == -1.0
 
 
@@ -114,14 +131,15 @@ class TestOracleBattery:
 
 def _random_sparse_problem(seed: int, n: int = 80, dim: int = 40):
     rng = np.random.default_rng(seed)
-    X, y = [], []
+    rows, y = [], []
     for _ in range(n):
+        row = np.zeros(dim)
         cols = np.flatnonzero(rng.random(dim) < 0.15)
-        X.append(SparseVector(indices=tuple(int(i) for i in cols),
-                              values=tuple(float(v) for v in rng.normal(size=cols.size))))
+        row[cols] = rng.normal(size=cols.size)
+        rows.append(row)
         y.append(int(rng.choice([1, -1])))
     y[0], y[1] = 1, -1
-    return X, y, dim
+    return sp.csr_matrix(np.array(rows)), y
 
 
 class TestOnDemandGramRows:
@@ -131,11 +149,11 @@ class TestOnDemandGramRows:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
     def test_same_model_as_precomputed_gram(self, monkeypatch, seed, c):
-        X, y, dim = _random_sparse_problem(seed)
+        X, y = _random_sparse_problem(seed)
         cfg = TrainConfig(c=c)
-        precomputed = train_binary_svm(X, y, cfg, dim=dim)
+        precomputed = train_binary_svm(X, y, cfg)
         monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
-        on_demand = train_binary_svm(X, y, cfg, dim=dim)
+        on_demand = train_binary_svm(X, y, cfg)
         if c >= 1.0:
             assert len(precomputed.objective_history) > 1
         assert np.array_equal(on_demand.weights, precomputed.weights)
@@ -164,23 +182,24 @@ class TestOnDemandGramRows:
 class TestTrainingProperties:
     def test_margins_on_separable_data_with_large_c(self):
         rng = random.Random(5)
-        X, y = [], []
+        rows, y = [], []
         for _ in range(20):
             label = rng.choice([1, -1])
-            X.append(_sv([label * 2.0 + rng.gauss(0, 0.3), rng.gauss(0, 1)]))
+            rows.append([label * 2.0 + rng.gauss(0, 0.3), rng.gauss(0, 1)])
             y.append(label)
         if len(set(y)) == 1:
             y[0] = -y[0]
+        X = _csr(rows)
         model = train_binary_svm(X, y, TrainConfig(c=1000.0, tolerance=1e-8,
-                                                   max_epochs=5000), dim=2)
-        for x, label in zip(X, y):
-            assert label * model.decision(x) >= 1.0 - 1e-6
+                                                   max_epochs=5000))
+        for value, label in zip(decision_values({"m": model}, X)[:, 0], y):
+            assert label * value >= 1.0 - 1e-6
 
     def test_objective_history_non_increasing(self):
         rng = random.Random(6)
-        X = [_sv([rng.gauss(0, 1), rng.gauss(0, 1)]) for _ in range(25)]
+        X = _csr([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(25)])
         y = [1 if i % 2 else -1 for i in range(25)]
-        model = train_binary_svm(X, y, TrainConfig(c=5.0), dim=2)
+        model = train_binary_svm(X, y, TrainConfig(c=5.0))
         history = model.objective_history
         assert history, "history must not be empty"
         assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
@@ -188,24 +207,24 @@ class TestTrainingProperties:
 
     def test_bit_identical_across_runs(self):
         rng = random.Random(7)
-        X = [_sv([rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)])
-             for _ in range(20)]
+        X = _csr([[rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)]
+                  for _ in range(20)])
         y = [rng.choice([1, -1]) for _ in range(20)]
         if len(set(y)) == 1:
             y[0] = -y[0]
         cfg = TrainConfig(c=2.0)
-        m1 = train_binary_svm(X, y, cfg, dim=3)
-        m2 = train_binary_svm(X, y, cfg, dim=3)
+        m1 = train_binary_svm(X, y, cfg)
+        m2 = train_binary_svm(X, y, cfg)
         assert m1.bias == m2.bias
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.objective == m2.objective
 
     def test_uncertified_stop_warns_with_gap(self, caplog):
         rng = random.Random(3)
-        X = [_sv([rng.gauss(0, 1), rng.gauss(0, 1)]) for _ in range(200)]
+        X = _csr([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(200)])
         y = [rng.choice([1, -1]) for _ in range(200)]
         with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
-            model = train_binary_svm(X, y, TrainConfig(c=10.0, max_epochs=1), dim=2)
+            model = train_binary_svm(X, y, TrainConfig(c=10.0, max_epochs=1))
         warnings = [r.message for r in caplog.records if "uncertified" in r.message]
         assert len(warnings) == 1
         assert "relative duality gap" in warnings[0]
@@ -214,55 +233,105 @@ class TestTrainingProperties:
         assert model.rel_gap > 1e-4
 
     def test_certified_run_does_not_warn(self, caplog):
-        X = [_sv([2.0]), _sv([-2.0])]
+        X = _csr([[2.0], [-2.0]])
         with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
-            model = train_binary_svm(X, [1, -1], TrainConfig(c=10.0), dim=1)
+            model = train_binary_svm(X, [1, -1], TrainConfig(c=10.0))
         assert not caplog.records
         assert model.certified
         assert model.rel_gap <= 1e-4
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            train_binary_svm([], [], dim=1)
+            train_binary_svm(sp.csr_matrix((0, 1)), [])
         with pytest.raises(ValueError):
-            train_binary_svm([_sv([1.0])], [2], dim=1)
+            train_binary_svm(_csr([[1.0], [2.0]]), [1])
+        with pytest.raises(ValueError):
+            train_binary_svm(_csr([[1.0]]), [2])
+        with pytest.raises(ValueError):
+            train_binary_svm([], [], dim=1)
 
 
 class TestOneVsRest:
     def test_disjoint_positives_classify_training_data(self):
-        X = [_sv([1.0, 0.0]), _sv([0.9, 0.1]), _sv([0.0, 1.0]), _sv([0.1, 0.9])]
+        X = _csr([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
         labels = [{"a"}, {"a"}, {"b"}, {"b"}]
-        result = train_one_vs_rest(X, labels, ["a", "b"],
-                                   TrainConfig(c=100.0), dim=2)
+        result = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
         assert set(result.models) == {"a", "b"}
-        for x, gold in zip(X, labels):
-            assert predict(result.models, x, PredictionMode.SINGLE_LABEL) == gold
+        assert predict(result.models, X, PredictionMode.SINGLE_LABEL) == labels
 
     def test_multilabel_doc_is_positive_for_both(self):
-        X = [_sv([1.0, 1.0]), _sv([1.0, 0.0]), _sv([0.0, 1.0]), _sv([-1.0, -1.0])]
+        X = _csr([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         labels = [{"a", "b"}, {"a"}, {"b"}, set()]
         # documents with no label act as shared negatives
-        result = train_one_vs_rest(X, labels, ["a", "b"],
-                                   TrainConfig(c=100.0), dim=2)
-        pred = predict(result.models, X[0], PredictionMode.MULTI_LABEL)
-        assert pred == {"a", "b"}
+        result = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
+        pred = predict(result.models, X[:1], PredictionMode.MULTI_LABEL)
+        assert pred == [{"a", "b"}]
 
     def test_category_without_positives_skipped(self, caplog):
-        X = [_sv([1.0]), _sv([-1.0])]
+        X = _csr([[1.0], [-1.0]])
         labels = [{"a"}, set()]
         with caplog.at_level(logging.WARNING):
-            result = train_one_vs_rest(X, labels, ["a", "ghost"], dim=1)
+            result = train_one_vs_rest(X, labels, ["a", "ghost"])
         assert result.skipped == ["ghost"]
         assert set(result.models) == {"a"}
 
     def test_one_model_per_category(self):
         rng = random.Random(8)
         cats = [f"c{i}" for i in range(6)]
-        X = [_sv([rng.gauss(0, 1), rng.gauss(0, 1)]) for _ in range(30)]
+        X = _csr([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(30)])
         labels = [{rng.choice(cats)} for _ in range(30)]
         present = sorted({c for ls in labels for c in ls})
-        result = train_one_vs_rest(X, labels, present, dim=2)
+        result = train_one_vs_rest(X, labels, present)
         assert len(result.models) == len(present)
+        # every category trains on the same matrix, as one binary problem
+        for category, model in result.models.items():
+            y = [1 if category in ls else -1 for ls in labels]
+            alone = train_binary_svm(X, y)
+            assert np.array_equal(model.weights, alone.weights)
+            assert model.bias == alone.bias
+
+    def test_row_count_must_match_labelsets(self):
+        with pytest.raises(ValueError):
+            train_one_vs_rest(_csr([[1.0], [-1.0]]), [{"a"}], ["a"])
+
+
+def _sequential_decision(model: LinearModel, cols, vals) -> float:
+    """The decision value as a per-row loop computes it: the bias, then
+    ``w[i] * v`` added in ascending column order."""
+    total = model.bias
+    for i, v in zip(cols, vals):
+        total += model.weights[i] * v
+    return float(total)
+
+
+class TestDecisionValues:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bias_first_sequential_sum_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, k = 60, 50, 5
+        X = sp.random(n, dim, density=0.4, format="csr", random_state=rng,
+                      data_rvs=rng.standard_normal)
+        models = {f"c{j}": LinearModel(weights=rng.standard_normal(dim),
+                                       bias=float(rng.standard_normal()))
+                  for j in range(k)}
+        expected = np.array([
+            [_sequential_decision(m, X.indices[X.indptr[r]:X.indptr[r + 1]],
+                                  X.data[X.indptr[r]:X.indptr[r + 1]])
+             for m in models.values()]
+            for r in range(n)])
+        values = decision_values(models, X)
+        assert values.shape == (n, k)
+        assert np.array_equal(values, expected)
+        # the data is rich enough to tell the two summation orders apart
+        W = np.array([m.weights for m in models.values()])
+        b = np.array([m.bias for m in models.values()])
+        assert not np.array_equal(X @ W.T + b, expected)
+
+    def test_empty_row_is_the_bias(self):
+        models = {"a": LinearModel(weights=np.array([1.0, 2.0]), bias=-0.25)}
+        X = sp.csr_matrix((np.array([3.0]), np.array([1]), np.array([0, 0, 1])),
+                          shape=(2, 2))
+        assert decision_values(models, X).tolist() == [[-0.25], [5.75]]
 
 
 class TestPredict:
@@ -277,31 +346,32 @@ class TestPredict:
             "a": LinearModel(weights=np.array([0.5]), bias=0.0),
             "b": LinearModel(weights=np.array([-0.2]), bias=0.0),
         }
-        assert predict(models, _sv([1.0]), PredictionMode.MULTI_LABEL) == {"a"}
+        assert predict(models, _csr([[1.0], [-1.0], [0.0]]),
+                       PredictionMode.MULTI_LABEL) == [{"a"}, {"b"}, set()]
 
     def test_single_label_argmax(self):
         models = self._models()
-        assert predict(models, _sv([1.0]), PredictionMode.SINGLE_LABEL) == {"a"}
+        assert predict(models, _csr([[1.0], [-1.0]]),
+                       PredictionMode.SINGLE_LABEL) == [{"a"}, {"b"}]
 
     def test_single_label_returns_least_negative(self):
         models = {
             "a": LinearModel(weights=np.array([0.0]), bias=-0.5),
             "b": LinearModel(weights=np.array([0.0]), bias=-0.2),
         }
-        assert predict(models, _sv([1.0]), PredictionMode.SINGLE_LABEL) == {"b"}
+        assert predict(models, _csr([[1.0]]), PredictionMode.SINGLE_LABEL) == [{"b"}]
 
     def test_multilabel_may_be_empty(self):
         models = {"a": LinearModel(weights=np.array([0.0]), bias=-1.0)}
-        assert predict(models, _sv([1.0]), PredictionMode.MULTI_LABEL) == set()
+        assert predict(models, _csr([[1.0]]), PredictionMode.MULTI_LABEL) == [set()]
 
     def test_argmax_invariant_under_shared_positive_scale(self):
         models = self._models()
         scaled = {c: LinearModel(weights=m.weights * 3.0, bias=m.bias * 3.0)
                   for c, m in models.items()}
-        for value in (-2.0, -0.5, 0.3, 1.5):
-            x = _sv([value])
-            assert (predict(models, x, PredictionMode.SINGLE_LABEL)
-                    == predict(scaled, x, PredictionMode.SINGLE_LABEL))
+        X = _csr([[-2.0], [-0.5], [0.3], [1.5]])
+        assert (predict(models, X, PredictionMode.SINGLE_LABEL)
+                == predict(scaled, X, PredictionMode.SINGLE_LABEL))
 
     def test_tie_broken_by_category_order(self):
         models = {
@@ -309,14 +379,37 @@ class TestPredict:
             "earlier": LinearModel(weights=np.array([0.0]), bias=0.5),
         }
         # insertion order is the category order
-        assert predict(models, _sv([1.0]), PredictionMode.SINGLE_LABEL) == {"later"}
+        assert predict(models, _csr([[1.0]]), PredictionMode.SINGLE_LABEL) == [{"later"}]
+
+    @pytest.mark.parametrize("mode", [PredictionMode.MULTI_LABEL,
+                                      PredictionMode.SINGLE_LABEL])
+    def test_rows_match_decision_values(self, mode):
+        rng = np.random.default_rng(9)
+        X = sp.random(40, 12, density=0.3, format="csr", random_state=rng)
+        models = {c: LinearModel(weights=rng.standard_normal(12),
+                                 bias=float(rng.normal(scale=0.1)))
+                  for c in ("x", "y", "z")}
+        values = decision_values(models, X)
+        pred = predict(models, X, mode)
+        assert len(pred) == 40
+        for row, labels in zip(values, pred):
+            if mode == PredictionMode.MULTI_LABEL:
+                assert labels == {c for c, v in zip(models, row) if v > 0.0}
+            else:
+                assert labels == {list(models)[int(np.argmax(row))]}
+
+    def test_no_models_or_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="no models"):
+            predict({}, _csr([[1.0]]), PredictionMode.MULTI_LABEL)
+        with pytest.raises(ValueError, match="unknown prediction mode"):
+            predict(self._models(), _csr([[1.0]]), "ranked")
 
 
 def test_model_dump_round_trip(tmp_path):
-    X = [_sv([2.0]), _sv([-2.0])]
+    X = _csr([[2.0], [-2.0]])
     models = {
-        "cat a": train_binary_svm(X, [1, -1], TrainConfig(c=10.0), dim=1),
-        "cat b": train_binary_svm(X, [-1, 1], TrainConfig(c=1.0), dim=1),
+        "cat a": train_binary_svm(X, [1, -1], TrainConfig(c=10.0)),
+        "cat b": train_binary_svm(X, [-1, 1], TrainConfig(c=1.0)),
     }
     path = tmp_path / "models.tsv"
     save_models(models, path)

@@ -2,6 +2,7 @@
 representation fixtures."""
 
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,24 @@ class TestTagEntities:
         tokens = tokenize("Reno FBI")
         tagged = tag_entities(tokens, Gazetteer())
         assert all(tag is EntityTag.NONE for _, tag in tagged)
+
+
+class TestGazetteerLoad:
+    def test_kinds_read_case_insensitively(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("# comment\nClayton Cramer\tperson\nReno\t Location \n"
+                        "FBI\tORGANIZATION\n", encoding="utf-8")
+        gaz = Gazetteer.load(path)
+        assert len(gaz) == 3
+        assert gaz.lookup(("reno",)) is EntityTag.LOCATION
+        assert gaz.lookup(("clayton", "cramer")) is EntityTag.PERSON
+
+    @pytest.mark.parametrize("kind", ["ANIMAL", "NONE", "none", "PERSONS"])
+    def test_unknown_kind_names_file_and_line(self, tmp_path, kind):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"Reno\tPERSON\nFido\t{kind}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown entity kind"):
+            Gazetteer.load(path)
 
 
 class TestFilterNouns:
