@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import load_config, validate_config
+from .config import PRESET_NAMES, load_config, validate_config
 from .enrich import strategy_outputs
 from .experiment import (
     StageError,
@@ -112,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured experiment")
     run.add_argument("--config", required=True)
-    run.add_argument("--preset",
-                     choices=["baseline", "A1", "A2", "A3", "A4", "A5", "custom"])
+    run.add_argument("--preset", choices=PRESET_NAMES)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.set_defaults(func=_cmd_run)

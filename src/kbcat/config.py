@@ -19,7 +19,7 @@ from .textproc import (
 )
 
 DATASETS = ("reuters10", "reuters90", "news20", "custom")
-PRESET_NAMES = ("baseline", "A1", "A2", "A3", "A4", "A5", "custom")
+PRESET_NAMES = (*PRESETS, "custom")
 
 
 class ConfigError(ValueError):
@@ -156,6 +156,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         raise ConfigError("svm_c and svm_tolerance must be positive")
     if cfg.svm_max_epochs < 1:
         raise ConfigError(f"svm_max_epochs must be >= 1, got {cfg.svm_max_epochs}")
+    if cfg.k < 1:
+        raise ConfigError(f"key 'k': must be >= 1, got {cfg.k}")
     # checked for every preset, not only for the custom one that reads them
     for key, parse in (("representation", Representation),
                        ("strategies", _parse_strategies)):

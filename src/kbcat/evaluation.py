@@ -1,5 +1,9 @@
 """Contingency accumulation, micro/macro F-measure, relative improvement,
-paired t-test, and the cross-validation driver.
+paired t-test, and the fold loop.
+
+Cross-validation and the fixed (ModApte) split are one loop: CV runs k
+folds from ``make_folds``, and the split runs one fold whose pooled report
+is the overall report.
 
 Conventions: precision/recall 0/0 cases are defined as 0; the macro
 average is the arithmetic mean of per-category F-scores over all
@@ -13,7 +17,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .corpus import RawDocument, make_folds
+from .corpus import RawDocument, SplitHint, make_folds
 
 
 @dataclass
@@ -161,61 +165,56 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
     )
 
 
-# A fold runner maps (train_docs, test_docs) to (gold, pred) label-set lists
-# aligned with test_docs, optionally plus an artifacts dict.
-FoldRunner = Callable[[list[RawDocument], list[RawDocument]], tuple]
+# A fold is a (train, test) pair of row numbers into the run's documents.
+# A fold runner maps one to (gold, pred, artifacts): label-set lists aligned
+# with the test rows, and a dict the result keeps for the fold.
+Fold = tuple[list[int], list[int]]
+FoldRunner = Callable[[list[int], list[int]], tuple]
 
 
 @dataclass
 class CvResult:
     fold_reports: list[MetricReport]
-    micro_f_mean: float
-    micro_f_sd: float
-    macro_f_mean: float
-    macro_f_sd: float
-    pooled: MetricReport
+    pooled: MetricReport  # a single fold's pooled report is its own
+    fold_artifacts: list[dict]
 
 
-def run_cv(
-    docs: list[RawDocument],
-    runner: FoldRunner,
-    k: int,
-    seed: int,
-    categories: Iterable[str],
-    on_fold: Callable | None = None,
-) -> CvResult:
-    """k-fold cross-validation: for each fold, train on the remainder and
-    evaluate on the fold. Reports come back in fold order with a
-    mean/sample-sd summary and a pooled contingency report."""
-    cats = list(categories)
-    folds = make_folds(docs, k, seed)
-    filled = set(folds.assignment.values())
-    for fold in range(k):
-        if fold not in filled:
+def cv_folds(docs: list[RawDocument], k: int, seed: int) -> list[Fold]:
+    """k stratified folds, each testing on its part and training on the
+    rest; a fold without test documents is an error before any run."""
+    assignment = make_folds(docs, k, seed).assignment
+    fold_of = [assignment[d.id] for d in docs]
+    folds = [([i for i, f in enumerate(fold_of) if f != fold],
+              [i for i, f in enumerate(fold_of) if f == fold]) for fold in range(k)]
+    for fold, (_train, test) in enumerate(folds):
+        if not test:
             raise ValueError(f"cv fold {fold} of {k} has no test documents")
-    fold_reports: list[MetricReport] = []
+    return folds
+
+
+def split_fold(docs: list[RawDocument]) -> list[Fold]:
+    """The fixed (ModApte) split as one fold."""
+    train = [i for i, d in enumerate(docs) if d.split_hint is SplitHint.TRAIN]
+    test = [i for i, d in enumerate(docs) if d.split_hint is SplitHint.TEST]
+    if not train or not test:
+        raise ValueError(f"split evaluation needs train and test documents, "
+                         f"got {len(train)}/{len(test)}")
+    return [(train, test)]
+
+
+def run_folds(folds: list[Fold], runner: FoldRunner, categories: Iterable[str]) -> CvResult:
+    """Run every fold in order: a report per fold, one pooled over all the
+    folds' contingency counts, and each fold's artifacts."""
+    cats = list(categories)
+    fold_reports, fold_artifacts = [], []
     pooled = ContingencyTable(counts={c: CategoryCounts() for c in cats})
-    for fold in range(k):
-        train = [d for d in docs if folds.assignment[d.id] != fold]
-        test = [d for d in docs if folds.assignment[d.id] == fold]
+    for fold, (train, test) in enumerate(folds):
         try:
-            result = runner(train, test)
+            gold, pred, artifacts = runner(train, test)
         except Exception as exc:
             raise RuntimeError(f"pipeline failed in fold {fold}: {exc}") from exc
-        gold, pred = result[0], result[1]
-        artifacts = result[2] if len(result) > 2 else {}
         table = accumulate(gold, pred, cats)
         fold_reports.append(metric_report(table))
+        fold_artifacts.append(artifacts)
         pooled.merge(table)
-        if on_fold is not None:
-            on_fold(fold, train, test, artifacts)
-    micro_vals = [r.micro_f for r in fold_reports]
-    macro_vals = [r.macro_f for r in fold_reports]
-    return CvResult(
-        fold_reports=fold_reports,
-        micro_f_mean=statistics.mean(micro_vals),
-        micro_f_sd=statistics.stdev(micro_vals) if k > 1 else 0.0,
-        macro_f_mean=statistics.mean(macro_vals),
-        macro_f_sd=statistics.stdev(macro_vals) if k > 1 else 0.0,
-        pooled=metric_report(pooled),
-    )
+    return CvResult(fold_reports, metric_report(pooled), fold_artifacts)

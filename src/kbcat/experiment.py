@@ -1,11 +1,12 @@
 """Experiment orchestration: corpus loading, enrichment, training,
 evaluation, and artifact emission for one configured run.
 
-The pipeline is load -> represent/enrich -> stem+lowercase -> vectorize ->
-train -> predict -> evaluate. The baseline preset skips enrichment
-entirely. Every run emits a manifest and a metrics TSV into the run
-directory, plus an improvement TSV when a baseline metrics file is
-supplied and model dumps when requested.
+The pipeline is load -> represent/enrich -> stem+lowercase and count once
+-> per fold: vectorize -> train -> predict -> evaluate. Cross-validation and
+the fixed split run the same fold loop; the split is one fold. The baseline
+preset skips enrichment entirely. Every run emits a manifest and a metrics
+TSV into the run directory, plus an improvement TSV when a baseline metrics
+file is supplied and model dumps when requested.
 """
 
 from __future__ import annotations
@@ -22,23 +23,25 @@ from . import __version__
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .corpus import (
     RawDocument,
-    SplitHint,
     SubsetMode,
     load_20newsgroups,
     load_reuters_dir,
     select_category_subset,
 )
 from .enrich import apply_preset
+# bench/layertrace.py probes accumulate and metric_report under this module
 from .evaluation import (
     CvResult,
     MetricReport,
     accumulate,
+    cv_folds,
     metric_report,
     paired_t_test,
     relative_improvement,
-    run_cv,
+    run_folds,
+    split_fold,
 )
-from .features import fit_vocabulary, vectorize
+from .features import count_terms, fit_vocabulary, vectorize
 from .kbindex import KbIndex, load_kb_dump
 from .learn import PredictionMode, TrainConfig, predict, save_models, train_one_vs_rest
 from .textproc import Gazetteer, TextResources, load_noun_lexicon, load_stoplist
@@ -109,22 +112,24 @@ def prepare_documents(
     return {doc.id: apply_preset(doc, preset, index, resources) for doc in docs}
 
 
-def make_fold_runner(prepared: dict, categories: tuple[str, ...], cfg: ExperimentConfig):
+def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentConfig):
+    """Count the terms of every prepared document once, row i for the fold
+    rows' document i; each fold trains and predicts on row selections."""
     mode = (PredictionMode.MULTI_LABEL if cfg.resolved_label_mode() == "multi"
             else PredictionMode.SINGLE_LABEL)
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
+    counts, _terms = count_terms(tagged)
+    labels = [t.labels for t in tagged]
 
-    def run_fold(train_docs, test_docs):
-        train_tagged = [prepared[d.id] for d in train_docs]
-        test_tagged = [prepared[d.id] for d in test_docs]
-        vocab = fit_vocabulary(train_tagged)
-        ovr = train_one_vs_rest(vectorize(train_tagged, vocab),
-                                [t.labels for t in train_tagged], categories, train_cfg)
-        gold = [set(t.labels) for t in test_tagged]
-        x_test = vectorize(test_tagged, vocab)
-        pred = (predict(ovr.models, x_test, mode) if ovr.models
-                else [set() for _ in test_tagged])
+    def run_fold(train, test):
+        x_train = counts[train]
+        vocab = fit_vocabulary(x_train)
+        ovr = train_one_vs_rest(vectorize(x_train, vocab), [labels[i] for i in train],
+                                categories, train_cfg)
+        gold = [set(labels[i]) for i in test]
+        pred = (predict(ovr.models, vectorize(counts[test], vocab), mode) if ovr.models
+                else [set() for _ in test])
         artifacts = {"vocabulary": vocab, "models": ovr.models,
                      "skipped_categories": ovr.skipped}
         return gold, pred, artifacts
@@ -171,43 +176,27 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
         index = stage("index", lambda: KbIndex(load_kb_dump(cfg.kb_dump)))
 
     prepared = stage("prepare", lambda: prepare_documents(admitted, cfg, index, resources))
-    runner = make_fold_runner(prepared, categories, cfg)
 
-    fold_artifacts: list[dict] = []
+    def evaluate():
+        folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"
+                 else split_fold(admitted))
+        runner = make_fold_runner([prepared[d.id] for d in admitted], categories, cfg)
+        return run_folds(folds, runner, categories)
 
-    def collect(_fold, _train, _test, artifacts):
-        fold_artifacts.append(artifacts)
-
-    if eval_mode == "cv":
-        cv = stage("evaluate", lambda: run_cv(
-            admitted, runner, cfg.cv_folds, cfg.seed, categories, on_fold=collect))
-        report = cv.pooled
-        micro, macro = cv.micro_f_mean, cv.macro_f_mean
-    else:
-        def run_split():
-            train = [d for d in admitted if d.split_hint is SplitHint.TRAIN]
-            test = [d for d in admitted if d.split_hint is SplitHint.TEST]
-            if not train or not test:
-                raise ValueError(
-                    f"split evaluation needs train and test documents, "
-                    f"got {len(train)}/{len(test)}"
-                )
-            gold, pred, artifacts = runner(train, test)
-            fold_artifacts.append(artifacts)
-            return metric_report(accumulate(gold, pred, categories))
-
-        cv = None
-        report = stage("evaluate", run_split)
-        micro, macro = report.micro_f, report.macro_f
+    evaluated = stage("evaluate", evaluate)
+    cv = evaluated if eval_mode == "cv" else None
+    # the CV mean; the mean of a split's one fold is its overall score
+    micro = statistics.mean(r.micro_f for r in evaluated.fold_reports)
+    macro = statistics.mean(r.macro_f for r in evaluated.fold_reports)
 
     manifest = build_manifest(cfg, name, eval_mode, timings)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         stage("report", lambda: _write_artifacts(
-            out_dir, name, cfg, manifest, cv, report, fold_artifacts))
+            out_dir, name, cfg, manifest, cv, evaluated))
 
     return ExperimentResult(
-        name=name, micro_f=micro, macro_f=macro, report=report,
+        name=name, micro_f=micro, macro_f=macro, report=evaluated.pooled,
         cv=cv, manifest=manifest, out_dir=out_dir,
     )
 
@@ -399,13 +388,12 @@ def _write_artifacts(
     cfg: ExperimentConfig,
     manifest: dict[str, str],
     cv: CvResult | None,
-    report: MetricReport,
-    fold_artifacts: list[dict],
+    evaluated: CvResult,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, out_dir / "manifest.txt")
     (out_dir / "metrics.tsv").write_text(
-        format_metrics_tsv(cv, report), encoding="utf-8"
+        format_metrics_tsv(cv, evaluated.pooled), encoding="utf-8"
     )
     if cfg.baseline_metrics:
         table = improvement_table_from_files(
@@ -413,8 +401,6 @@ def _write_artifacts(
         )
         (out_dir / "improvement.tsv").write_text(table, encoding="utf-8")
     if cfg.save_models:
-        if cv is None:
-            save_models(fold_artifacts[0]["models"], out_dir / "models.tsv")
-        else:
-            for i, artifacts in enumerate(fold_artifacts):
-                save_models(artifacts["models"], out_dir / f"models_fold{i}.tsv")
+        for i, artifacts in enumerate(evaluated.fold_artifacts):
+            file_name = "models.tsv" if cv is None else f"models_fold{i}.tsv"
+            save_models(artifacts["models"], out_dir / file_name)

@@ -1,20 +1,24 @@
-"""Vocabulary fitting and L2-normalized TF-IDF vectorization.
+"""Term counting, vocabulary fitting and L2-normalized TF-IDF vectorization.
 
 Original-text tokens are lowercased and stemmed here; enrichment-injected
 concept tokens are lowercased but kept unstemmed so multi-word concepts
 like ``Kaiser_Permanente`` survive as single features.
 
-``vectorize`` turns a list of documents into one CSR matrix, which
-``learn`` trains on and predicts from as it is.
+``count_terms`` processes each document of a run once, into one CSR matrix
+of term counts in sorted-term column order; a fold's training and test
+sets are row selections of it. ``vectorize`` weights rows into the CSR
+matrix that ``learn`` trains on and predicts from as it is.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 import scipy.sparse as sp
 
 from .porter import porter_stem
@@ -31,12 +35,12 @@ class SparseVector:  # a hand-made row: train_binary_svm takes a list of them
 
 @dataclass
 class Vocabulary:
-    index: dict[str, int]
-    df: dict[str, int]
-    n_docs: int
+    columns: np.ndarray  # count-matrix columns in the training rows, ascending
+    df: np.ndarray  # documents per column among the training rows
+    idf: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.columns)
 
 
 def document_terms(doc: TaggedDocument) -> list[str]:
@@ -48,43 +52,50 @@ def document_terms(doc: TaggedDocument) -> list[str]:
     return terms
 
 
-def fit_vocabulary(train_docs: list[TaggedDocument]) -> Vocabulary:
-    """Assign dense indices to every processed term of the training set.
-
-    Document frequency counts each document once per distinct term. Fit on
-    training documents only; test documents are vectorized against the
-    result without touching it.
-    """
-    if not train_docs:
-        raise ValueError("cannot fit a vocabulary on an empty corpus")
-    df: dict[str, int] = {}
-    for doc in train_docs:
-        for term in set(document_terms(doc)):
-            df[term] = df.get(term, 0) + 1
-    index = {term: i for i, term in enumerate(sorted(df))}
-    return Vocabulary(index=index, df=df, n_docs=len(train_docs))
-
-
-def idf(vocab: Vocabulary, term: str) -> float:
-    # smoothed variant: never zero, never divides by zero
-    return math.log((1 + vocab.n_docs) / (1 + vocab.df.get(term, 0))) + 1.0
-
-
-def vectorize(docs: list[TaggedDocument], vocab: Vocabulary) -> sp.csr_matrix:
-    """TF-IDF rows over the fitted vocabulary, each L2-normalized, one per
-    document in input order; the matrix is ``len(vocab)`` columns wide.
-
-    Out-of-vocabulary terms are dropped; a document with no in-vocabulary
-    terms becomes an empty row. Each row's norm is a Python sum over its
-    entries in column order, so every value is the same float whatever
-    the other rows hold.
-    """
-    indptr, indices, data = [0], [], []
+def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
+    """Term counts of every document, one row per document in input order,
+    and the sorted terms that name the columns. Rows are appended as int32
+    arrays, so no per-term object outlives its document."""
+    ids: dict[str, int] = {}
+    indptr, indices, data = [0], array("i"), array("i")
     for doc in docs:
-        counts = Counter(t for t in document_terms(doc) if t in vocab.index)
-        pairs = sorted((vocab.index[t], n * idf(vocab, t)) for t, n in counts.items())
-        norm = math.sqrt(sum(w * w for _, w in pairs))
-        indices.extend(i for i, _ in pairs)
-        data.extend(w / norm for _, w in pairs)
+        counts = Counter(document_terms(doc))
+        indices.extend(ids.setdefault(term, len(ids)) for term in counts)
+        data.extend(counts.values())
         indptr.append(len(indices))
-    return sp.csr_matrix((data, indices, indptr), shape=(len(docs), len(vocab)))
+    terms = sorted(ids)
+    column = np.empty(len(ids), dtype=np.int32)  # term id -> sorted position
+    column[[ids[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
+    matrix = sp.csr_matrix(
+        (np.frombuffer(data, np.int32), column[np.frombuffer(indices, np.int32)], indptr),
+        shape=(len(docs), len(ids)))
+    matrix.sort_indices()
+    return matrix, terms
+
+
+def fit_vocabulary(counts: sp.csr_matrix) -> Vocabulary:
+    """The columns with nonzero document frequency in the training rows'
+    term counts, in sorted-term order, and their smoothed idf. Fit on
+    training rows only; vectorizing test rows leaves the result untouched."""
+    n_docs = counts.shape[0]
+    if not n_docs:
+        raise ValueError("cannot fit a vocabulary on an empty corpus")
+    df = np.bincount(counts.indices, minlength=counts.shape[1])
+    columns = np.flatnonzero(df)
+    # smoothed variant: never zero, never divides by zero
+    idf = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in df[columns].tolist()]
+    return Vocabulary(columns=columns, df=df[columns], idf=np.array(idf))
+
+
+def vectorize(counts: sp.csr_matrix, vocab: Vocabulary) -> sp.csr_matrix:
+    """L2-normalized TF-IDF rows over the vocabulary, one per row of
+    ``counts`` and ``len(vocab)`` columns wide; other terms are dropped. Each
+    norm is a sequential Python sum in column order, the float a per-document
+    loop gives (np.sum is pairwise and can differ in the last bit)."""
+    x = counts[:, vocab.columns].astype(np.float64)  # ascending columns stay sorted
+    x.data *= vocab.idf[x.indices]
+    squares = x.data * x.data
+    bounds = x.indptr.tolist()
+    norms = [math.sqrt(sum(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])]
+    x.data /= np.repeat(norms, np.diff(x.indptr))
+    return x

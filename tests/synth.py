@@ -170,3 +170,24 @@ def write_corpus_tree(docs: list[RawDocument], root: Path) -> None:
 
 def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
     save_kb_dump(records, path)
+
+
+def write_reuters_sgml(docs: list[RawDocument], path: Path) -> None:
+    """Write ``docs`` as one Reuters SGML file for ModApte split runs.
+
+    Every fourth document is a TEST document and the rest are TRAIN, every
+    fifth also carries its rival class's topic (multi-label), and every
+    23rd is NOT-USED, so it is loaded and admitted but in neither set."""
+    parts = ['<!DOCTYPE lewis SYSTEM "lewis.dtd">\n']
+    for newid, doc in enumerate(docs, 1):
+        cls = min(doc.labels)
+        topics = [cls, PAIR[cls]] if newid % 5 == 0 else [cls]
+        lewis = ("NOT-USED" if newid % 23 == 0
+                 else "TEST" if newid % 4 == 0 else "TRAIN")
+        d_tags = "".join(f"<D>{t}</D>" for t in topics)
+        parts.append(
+            f'<REUTERS TOPICS="YES" LEWISSPLIT="{lewis}" NEWID="{newid}">\n'
+            f"<TOPICS>{d_tags}</TOPICS>\n<TEXT><TITLE>{doc.id}</TITLE>\n"
+            f"<BODY>{doc.body}</BODY></TEXT>\n</REUTERS>\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(parts), encoding="latin-1")

@@ -120,6 +120,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("k", "abc"), ("svm_c", "high"), ("cv_folds", "2.5"), ("save_models", "maybe"),
+        ("k", "0"), ("k", "-2"),
     ])
     def test_bad_typed_value_names_key(self, separable_corpus, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -215,6 +216,58 @@ class TestRunExperiment:
                  for p in out.iterdir() if p.name != "manifest.txt"}
         assert found == self.GOLDEN_SHA256[preset, label_mode]
 
+    # the same for a ModApte split run of reuters90 (multi-label) on the
+    # tests/synth.py documents written as one reut2-000.sgm, recorded
+    # while split runs still had their own code path
+    SPLIT_GOLDEN_SHA256 = {
+        "A4": {
+            "metrics.tsv": "42af0c45b8f4169756abd60ebc15867ef542543609ba81e6254fa6bd4fe8416b",
+            "models.tsv": "935543055c156dfed3523923f2c890dc1ed95f1a8f53387cf93db269b78898cf",
+        },
+        "baseline": {
+            "metrics.tsv": "c3d7bface6058b228cda1fb476266ef7bc4ed673ed3e27e554a6a7054abab7f4",
+            "models.tsv": "5901fd4d2b461c3f6f8c54fce8b03e6e3ff8485ccb0100d63a467b15f7d4245f",
+        },
+    }
+
+    @pytest.mark.parametrize("preset", sorted(SPLIT_GOLDEN_SHA256))
+    def test_split_artifacts_match_golden_sha256(self, tmp_path, preset):
+        synth.write_reuters_sgml(synth.build_docs(), tmp_path / "corpus" / "reut2-000.sgm")
+        synth.write_kb_dump(synth.build_kb(), tmp_path / "kb.tsv")
+        out = tmp_path / "run"
+        result = run_experiment(parse_config_text(
+            f"dataset = reuters90\ncorpus_dir = {tmp_path / 'corpus'}\n"
+            f"kb_dump = {tmp_path / 'kb.tsv'}\npreset = {preset}\nseed = 7\n"
+            f"save_models = true\nout_dir = {out}\n"))
+        assert result.cv is None
+        assert result.manifest["eval_mode"] == "split"
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in out.iterdir() if p.name != "manifest.txt"}
+        assert found == self.SPLIT_GOLDEN_SHA256[preset]
+
+    def test_split_without_split_hints_is_a_stage_error(self, separable_corpus):
+        # a category tree carries no ModApte hints: both sets come out empty
+        cfg = parse_config_text(_config_text(separable_corpus, eval_mode="split"))
+        with pytest.raises(StageError, match="split evaluation needs train and "
+                                             "test documents, got 0/0") as err:
+            run_experiment(cfg)
+        assert err.value.stage == "evaluate"
+
+    def test_terms_counted_once_per_document(self, separable_corpus, monkeypatch):
+        from kbcat import features
+
+        calls = []
+
+        def counting(doc):
+            calls.append(doc.id)
+            return original(doc)
+
+        original = features.document_terms
+        monkeypatch.setattr(features, "document_terms", counting)
+        run_experiment(parse_config_text(_config_text(separable_corpus)))
+        assert len(calls) == 40
+        assert len(set(calls)) == 40
+
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -233,23 +286,26 @@ class TestRunExperiment:
         assert any(k.startswith("timing.") for k in manifest)
 
     def test_vocabulary_fitted_on_train_only(self, separable_corpus, tmp_path):
-        # hygiene hook: no test-fold document may contribute df counts
-        from kbcat.evaluation import run_cv
+        # hygiene: each fold's df counts exactly its training documents
+        from collections import Counter
+
+        from kbcat.evaluation import cv_folds, run_folds
         from kbcat.experiment import (admit_documents, load_corpus,
                                       load_resources, make_fold_runner,
                                       prepare_documents)
+        from kbcat.features import count_terms, document_terms
         cfg = parse_config_text(_config_text(separable_corpus))
         docs, categories = load_corpus(cfg)
         admitted = admit_documents(docs, categories)
         prepared = prepare_documents(admitted, cfg, None, load_resources(cfg))
-        runner = make_fold_runner(prepared, categories, cfg)
-
-        def check(fold, train, test, artifacts):
+        tagged = [prepared[d.id] for d in admitted]
+        _, terms = count_terms(tagged)
+        folds = cv_folds(admitted, 4, cfg.seed)
+        result = run_folds(folds, make_fold_runner(tagged, categories, cfg), categories)
+        for (train, _test), artifacts in zip(folds, result.fold_artifacts, strict=True):
             vocab = artifacts["vocabulary"]
-            assert vocab.n_docs == len(train)
-            assert all(df <= len(train) for df in vocab.df.values())
-
-        run_cv(admitted, runner, 4, cfg.seed, categories, on_fold=check)
+            train_df = Counter(t for i in train for t in set(document_terms(tagged[i])))
+            assert dict(zip([terms[c] for c in vocab.columns], vocab.df.tolist())) == train_df
 
     def test_empty_cv_fold_is_a_stage_error(self, tmp_path):
         # 3 classes of 2 documents leave folds 2-4 of 5 without test documents

@@ -1,21 +1,24 @@
-"""Metrics, improvement arithmetic, paired t-test, and cross-validation."""
+"""Metrics, improvement arithmetic, paired t-test, and the fold loop."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 import scipy.stats
 
-from kbcat.corpus import RawDocument
+from kbcat.corpus import RawDocument, SplitHint
 from kbcat.evaluation import (
     accumulate,
+    cv_folds,
     macro_f,
     metric_report,
     micro_f,
     micro_scores,
     paired_t_test,
     relative_improvement,
-    run_cv,
+    run_folds,
+    split_fold,
     student_t_sf_two_tailed,
 )
 from oracles import micro_macro_by_enumeration
@@ -196,56 +199,57 @@ def _docs(n_per_class: int = 8) -> list[RawDocument]:
     return docs
 
 
-def _word_match_runner(train, test):
+def _word_match_runner(docs):
     # predict the label whose name appears in the body; trivially separable
-    labels = sorted({l for d in train for l in d.labels})
-    gold = [set(d.labels) for d in test]
-    pred = [{next((l for l in labels if l in d.body), labels[0])} for d in test]
-    return gold, pred, {"train_ids": [d.id for d in train]}
+    def runner(train, test):
+        labels = sorted({l for i in train for l in docs[i].labels})
+        gold = [set(docs[i].labels) for i in test]
+        pred = [{next((l for l in labels if l in docs[i].body), labels[0])}
+                for i in test]
+        return gold, pred, {"train_ids": [docs[i].id for i in train]}
+
+    return runner
+
+
+def run_cv(docs, k, seed, categories, runner=None):
+    return run_folds(cv_folds(docs, k, seed), runner or _word_match_runner(docs),
+                     categories)
 
 
 class TestRunCv:
     def test_k_reports(self):
-        result = run_cv(_docs(), _word_match_runner, 4, seed=1,
-                        categories=["blue", "red"])
+        result = run_cv(_docs(), 4, seed=1, categories=["blue", "red"])
         assert len(result.fold_reports) == 4
+        assert len(result.fold_artifacts) == 4
 
     def test_separable_scores_one(self):
-        result = run_cv(_docs(), _word_match_runner, 4, seed=1,
-                        categories=["blue", "red"])
+        result = run_cv(_docs(), 4, seed=1, categories=["blue", "red"])
         for report in result.fold_reports:
             assert report.micro_f == 1.0
-        assert result.micro_f_mean == 1.0
-        assert result.micro_f_sd == 0.0
         assert result.pooled.micro_f == 1.0
 
     def test_deterministic(self):
-        a = run_cv(_docs(), _word_match_runner, 4, seed=9,
-                   categories=["blue", "red"])
-        b = run_cv(_docs(), _word_match_runner, 4, seed=9,
-                   categories=["blue", "red"])
+        a = run_cv(_docs(), 4, seed=9, categories=["blue", "red"])
+        b = run_cv(_docs(), 4, seed=9, categories=["blue", "red"])
         assert a == b
 
-    def test_hook_sees_disjoint_folds(self):
-        seen = []
-
-        def hook(fold, train, test, artifacts):
-            seen.append((fold, {d.id for d in train}, {d.id for d in test},
-                         artifacts))
-
-        run_cv(_docs(), _word_match_runner, 4, seed=2,
-               categories=["blue", "red"], on_fold=hook)
-        assert [fold for fold, *_ in seen] == [0, 1, 2, 3]
-        for _, train_ids, test_ids, artifacts in seen:
-            assert not train_ids & test_ids
-            assert set(artifacts["train_ids"]) == train_ids
+    def test_folds_are_disjoint_and_return_artifacts(self):
+        docs = _docs()
+        folds = cv_folds(docs, 4, seed=2)
+        result = run_folds(folds, _word_match_runner(docs), ["blue", "red"])
+        assert len(folds) == 4
+        assert sorted(i for _, test in folds for i in test) == list(range(len(docs)))
+        for (train, test), artifacts in zip(folds, result.fold_artifacts, strict=True):
+            assert not set(train) & set(test)
+            assert sorted(train + test) == list(range(len(docs)))
+            assert artifacts["train_ids"] == [docs[i].id for i in train]
 
     def test_fold_error_names_fold(self):
         def broken(train, test):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="fold 0"):
-            run_cv(_docs(), broken, 4, seed=0, categories=["blue", "red"])
+            run_cv(_docs(), 4, seed=0, categories=["blue", "red"], runner=broken)
 
     def test_empty_test_fold_rejected_before_any_run(self):
         # 3 strata of 2 documents fill only folds 0 and 1 of 5; scoring the
@@ -256,8 +260,49 @@ class TestRunCv:
 
         def runner(train, test):
             calls.append(test)
-            return _word_match_runner(train, test)
+            return _word_match_runner(docs)(train, test)
 
         with pytest.raises(ValueError, match="cv fold 2 of 5 has no test documents"):
-            run_cv(docs, runner, 5, seed=0, categories=["blue", "green", "red"])
+            run_cv(docs, 5, seed=0, categories=["blue", "green", "red"], runner=runner)
         assert calls == []
+
+
+def _split_docs() -> list[RawDocument]:
+    hints = [SplitHint.TRAIN, SplitHint.TEST, SplitHint.UNSPLIT, SplitHint.TRAIN] * 4
+    return [replace(doc, split_hint=hint) for doc, hint in zip(_docs(), hints)]
+
+
+class TestSplitFold:
+    def test_one_fold_of_train_and_test_rows(self):
+        docs = _split_docs()
+        [(train, test)] = split_fold(docs)
+        assert train == [i for i, d in enumerate(docs) if d.split_hint is SplitHint.TRAIN]
+        assert test == [i for i, d in enumerate(docs) if d.split_hint is SplitHint.TEST]
+        assert len(train) == 8 and len(test) == 4
+
+    @pytest.mark.parametrize("missing", [SplitHint.TRAIN, SplitHint.TEST])
+    def test_missing_side_rejected(self, missing):
+        docs = [d for d in _split_docs() if d.split_hint is not missing]
+        with pytest.raises(ValueError, match="split evaluation needs train and test"):
+            split_fold(docs)
+
+    def test_one_fold_run_reports_its_fold(self):
+        # one false positive on the first test row: the scores are below 1
+        docs = _split_docs()
+
+        def runner(train, test):
+            gold, pred, artifacts = _word_match_runner(docs)(train, test)
+            return gold, [{"blue", "red"}] + pred[1:], artifacts
+
+        result = run_folds(split_fold(docs), runner, ["blue", "red"])
+        [fold] = result.fold_reports
+        assert result.pooled == fold
+        assert fold.micro_f < 1.0
+        assert len(result.fold_artifacts) == 1
+
+    def test_runner_error_names_fold_zero(self):
+        def broken(train, test):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="pipeline failed in fold 0: boom"):
+            run_folds(split_fold(_split_docs()), broken, ["blue", "red"])

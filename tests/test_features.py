@@ -1,13 +1,16 @@
-"""Vocabulary fitting and TF-IDF vectorization."""
+"""Term counting, vocabulary fitting and TF-IDF vectorization."""
 
 import copy
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_tagged
 from kbcat.features import (
+    count_terms,
     document_terms,
     fit_vocabulary,
     vectorize,
@@ -35,31 +38,62 @@ class TestDocumentTerms:
         assert document_terms(doc) == ["kaiser_permanente", "connections"]
 
 
+def _df(docs) -> dict[str, int]:
+    """Document frequency per term of a vocabulary fitted on every doc."""
+    counts, terms = count_terms(docs)
+    vocab = fit_vocabulary(counts)
+    return {terms[c]: df for c, df in zip(vocab.columns.tolist(), vocab.df.tolist())}
+
+
+def _vectorize(train, docs):
+    """Fit on ``train`` and vectorize ``docs``, both rows of one count
+    matrix, the way a fold does."""
+    counts, _ = count_terms(train + docs)
+    vocab = fit_vocabulary(counts[:len(train)])
+    return vectorize(counts[len(train):], vocab)
+
+
+class TestCountTerms:
+    def test_rows_in_input_order_columns_in_term_order(self):
+        counts, terms = count_terms([make_tagged(["b", "a", "b"]), make_tagged([]),
+                                     make_tagged(["Connections", "c"])])
+        assert terms == ["a", "b", "c", "connect"]
+        assert counts.toarray().tolist() == [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]
+        assert counts.dtype == np.int32 and counts.has_sorted_indices
+
+    def test_no_documents(self):
+        counts, terms = count_terms([])
+        assert counts.shape == (0, 0) and terms == []
+
+
 class TestFitVocabulary:
     def test_counts(self):
-        docs = [make_tagged(["a", "b"]), make_tagged(["a"])]
-        vocab = fit_vocabulary(docs)
+        counts, _ = count_terms([make_tagged(["a", "b"]), make_tagged(["a"])])
+        vocab = fit_vocabulary(counts)
         assert len(vocab) == 2
-        assert vocab.df["a"] == 2
-        assert vocab.df["b"] == 1
-        assert vocab.n_docs == 2
+        assert _df([make_tagged(["a", "b"]), make_tagged(["a"])]) == {"a": 2, "b": 1}
 
     def test_df_counts_documents_not_occurrences(self):
-        vocab = fit_vocabulary([make_tagged(["a", "a", "a"])])
-        assert vocab.df["a"] == 1
+        assert _df([make_tagged(["a", "a", "a"])]) == {"a": 1}
 
     def test_injected_title_becomes_lowercase_unstemmed_term(self):
         docs = [_tagged_with_injection(["report"], ["Kaiser_Permanente"])]
-        vocab = fit_vocabulary(docs)
-        assert "kaiser_permanente" in vocab.index
+        assert "kaiser_permanente" in _df(docs)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            fit_vocabulary([])
+            fit_vocabulary(count_terms([])[0])
 
     def test_indices_dense(self):
-        vocab = fit_vocabulary([make_tagged(["b", "a", "c"])])
-        assert sorted(vocab.index.values()) == [0, 1, 2]
+        # fitted on rows 0 and 2, the vocabulary skips column "c" of row 1,
+        # and vectorized rows index its terms densely in sorted order
+        counts, terms = count_terms([make_tagged(["d", "a"]), make_tagged(["c"]),
+                                     make_tagged(["b", "a"])])
+        vocab = fit_vocabulary(counts[[0, 2]])
+        assert [terms[c] for c in vocab.columns] == ["a", "b", "d"]
+        X = vectorize(counts, vocab)
+        assert X.shape == (3, 3)
+        assert [_row(X, r)[0] for r in range(3)] == [[0, 2], [], [0, 1]]
 
 
 def _row(X, r: int) -> tuple[list[int], list[float]]:
@@ -67,25 +101,25 @@ def _row(X, r: int) -> tuple[list[int], list[float]]:
     return X.indices[start:end].tolist(), X.data[start:end].tolist()
 
 
-class TestVectorize:
-    def _vocab(self):
-        return fit_vocabulary([make_tagged(["a", "b"]), make_tagged(["a"])])
+TRAIN = [make_tagged(["a", "b"]), make_tagged(["a"])]
 
+
+class TestVectorize:
     def test_single_term_normalizes_to_one(self):
-        X = vectorize([make_tagged(["a"])], self._vocab())
+        X = _vectorize(TRAIN, [make_tagged(["a"])])
         assert X.shape == (1, 2)
-        assert _row(X, 0) == ([self._vocab().index["a"]], [1.0])
+        assert _row(X, 0) == ([0], [1.0])
 
     def test_hand_computed_weights(self):
         # N=2: idf(a) = ln(3/3)+1 = 1, idf(b) = ln(3/2)+1 = 1.4055
-        _, values = _row(vectorize([make_tagged(["a", "b"])], self._vocab()), 0)
+        _, values = _row(_vectorize(TRAIN, [make_tagged(["a", "b"])]), 0)
         assert values[0] == pytest.approx(0.5797, abs=1e-3)
         assert values[1] == pytest.approx(0.8149, abs=1e-3)
         pre_b = math.log(3 / 2) + 1
         assert values[1] / values[0] == pytest.approx(pre_b, rel=1e-9)
 
     def test_oov_only_doc_is_zero_vector(self):
-        X = vectorize([make_tagged(["zzz"])], self._vocab())
+        X = _vectorize(TRAIN, [make_tagged(["zzz"])])
         assert X.shape == (1, 2) and X.nnz == 0
 
     def test_norm_is_one_on_random_docs(self):
@@ -93,8 +127,9 @@ class TestVectorize:
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
         docs = [make_tagged([rng.choice(words) for _ in range(rng.randint(1, 12))])
                 for _ in range(30)]
-        vocab = fit_vocabulary(docs)
-        X = vectorize(docs, vocab)
+        counts, _ = count_terms(docs)
+        vocab = fit_vocabulary(counts)
+        X = vectorize(counts, vocab)
         assert X.shape == (30, len(vocab))
         for r in range(30):
             indices, values = _row(X, r)
@@ -106,25 +141,47 @@ class TestVectorize:
         words = ["alpha", "beta", "gamma", "delta", "zzz"]
         docs = [make_tagged([rng.choice(words) for _ in range(rng.randint(0, 9))])
                 for _ in range(25)]
-        vocab = fit_vocabulary(docs[:15])
-        X = vectorize(docs, vocab)
-        for r, doc in enumerate(docs):
-            alone = vectorize([doc], vocab)
+        counts, _ = count_terms(docs)
+        vocab = fit_vocabulary(counts[:15])
+        X = vectorize(counts, vocab)
+        for r in range(len(docs)):
+            alone = vectorize(counts[[r]], vocab)
             assert _row(X, r) == _row(alone, 0)  # bitwise: == on floats
-        assert vectorize(list(reversed(docs)), vocab)[0].toarray().tolist() == \
+        assert vectorize(counts[::-1], vocab)[0].toarray().tolist() == \
             X[24].toarray().tolist()
-        assert vectorize([], vocab).shape == (0, len(vocab))
+        assert vectorize(counts[:0], vocab).shape == (0, len(vocab))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_equal_per_document_reference(self, seed):
+        # bitwise (==) against the per-document definition: df over the
+        # training documents, idf by math.log, weights in term order and
+        # the norm a sequential sum of squares (np.sum would differ)
+        rng = random.Random(seed)
+        words = [f"w{i:02d}" for i in range(60)]
+        docs = [make_tagged([rng.choice(words) for _ in range(rng.randint(0, 80))])
+                for _ in range(40)]
+        counts, _ = count_terms(docs)
+        X = vectorize(counts, fit_vocabulary(counts[:30]))
+        df = Counter(t for doc in docs[:30] for t in set(document_terms(doc)))
+        index = {t: i for i, t in enumerate(sorted(df))}
+        for r, doc in enumerate(docs):
+            pairs = sorted((index[t], n * (math.log(31 / (1 + df[t])) + 1.0))
+                           for t, n in Counter(document_terms(doc)).items() if t in df)
+            norm = math.sqrt(sum(w * w for _, w in pairs))
+            assert _row(X, r) == ([i for i, _ in pairs], [w / norm for _, w in pairs])
 
     def test_duplicating_every_token_leaves_vector_unchanged(self):
-        vocab = self._vocab()
-        once = vectorize([make_tagged(["a", "b"])], vocab)
-        twice = vectorize([make_tagged(["a", "b", "a", "b"])], vocab)
-        assert _row(once, 0)[0] == _row(twice, 0)[0]
-        for u, v in zip(_row(once, 0)[1], _row(twice, 0)[1]):
+        X = _vectorize(TRAIN, [make_tagged(["a", "b"]), make_tagged(["a", "b", "a", "b"])])
+        assert _row(X, 0)[0] == _row(X, 1)[0]
+        for u, v in zip(_row(X, 0)[1], _row(X, 1)[1]):
             assert u == pytest.approx(v, rel=1e-12)
 
     def test_vectorizing_never_mutates_vocabulary(self):
-        vocab = self._vocab()
-        snapshot = copy.deepcopy(vocab)
-        vectorize([make_tagged(["a", "zzz", "new_term"]), make_tagged(["b"])], vocab)
-        assert vocab == snapshot
+        counts, _ = count_terms(TRAIN + [make_tagged(["a", "zzz", "new_term"]),
+                                         make_tagged(["b"])])
+        vocab = fit_vocabulary(counts[:2])
+        snapshot, before = copy.deepcopy(vocab), counts.copy()
+        vectorize(counts, vocab)
+        for field in ("columns", "df", "idf"):
+            assert np.array_equal(getattr(vocab, field), getattr(snapshot, field))
+        assert (counts != before).nnz == 0
