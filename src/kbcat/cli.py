@@ -68,7 +68,7 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
         raise ValueError(f"document {args.doc_id!r} not found")
     preset = cfg.resolve_preset()
     index = KbIndex(load_kb_dump(cfg.kb_dump)) if preset.strategies else None
-    prepared = prepare_documents([doc], cfg, index, resources)[doc.id]
+    [prepared] = prepare_documents([doc], cfg, index, resources)
 
     print(f"document {doc.id} labels={sorted(doc.labels)}")
     original = [t.surface for t, _ in prepared.tokens if not t.injected]

@@ -6,6 +6,7 @@ at validation time. Unknown keys are an error so typos fail fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -152,8 +153,11 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         raise ConfigError(f"label_mode must be 'multi' or 'single', got {cfg.label_mode!r}")
     if cfg.cv_folds < 2:
         raise ConfigError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
-    if cfg.svm_c <= 0 or cfg.svm_tolerance <= 0:
-        raise ConfigError("svm_c and svm_tolerance must be positive")
+    for key in ("svm_c", "svm_tolerance"):
+        value = getattr(cfg, key)
+        # NaN and infinity would train zero models that still certify
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"key {key!r}: must be positive and finite, got {value}")
     if cfg.svm_max_epochs < 1:
         raise ConfigError(f"svm_max_epochs must be >= 1, got {cfg.svm_max_epochs}")
     if cfg.k < 1:

@@ -40,15 +40,6 @@ class CategorySubset:
     categories: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    k: int
-    assignment: dict[str, int]
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [doc_id for doc_id, f in self.assignment.items() if f == fold]
-
-
 class ReutersParseError(ValueError):
     """Malformed SGML; the message names the byte offset of the problem."""
 
@@ -270,8 +261,9 @@ def select_category_subset(
     return CategorySubset(mode, tuple(kept))
 
 
-def make_folds(docs: list[RawDocument], k: int, seed: int) -> FoldAssignment:
-    """Stratified k-fold assignment, deterministic for a fixed seed.
+def make_folds(docs: list[RawDocument], k: int, seed: int) -> list[int]:
+    """Stratified k-fold assignment, deterministic for a fixed seed: the
+    fold number of each document, in input order.
 
     Documents are stratified by their lexicographically smallest label and
     dealt round-robin within each stratum after a seeded shuffle, so fold
@@ -279,22 +271,22 @@ def make_folds(docs: list[RawDocument], k: int, seed: int) -> FoldAssignment:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    strata: dict[str, list[str]] = {}
-    for doc in docs:
+    strata: dict[str, list[int]] = {}
+    for row, doc in enumerate(docs):
         if not doc.labels:
             raise ValueError(f"document {doc.id} has no labels")
-        strata.setdefault(min(doc.labels), []).append(doc.id)
+        strata.setdefault(min(doc.labels), []).append(row)
 
     rng = random.Random(seed)
-    assignment: dict[str, int] = {}
+    fold_of = [0] * len(docs)
     for label in sorted(strata):
-        ids = strata[label]
-        if k > len(ids):
+        rows = strata[label]
+        if k > len(rows):
             logger.warning(
                 "stratum %r has %d documents for %d folds; spreading as evenly as possible",
-                label, len(ids), k,
+                label, len(rows), k,
             )
-        rng.shuffle(ids)
-        for i, doc_id in enumerate(ids):
-            assignment[doc_id] = i % k
-    return FoldAssignment(k=k, assignment=assignment)
+        rng.shuffle(rows)
+        for i, row in enumerate(rows):
+            fold_of[row] = i % k
+    return fold_of

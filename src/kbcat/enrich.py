@@ -12,6 +12,10 @@ E4  keep only returned terms that start with an uppercase letter and
 E5  strip delimiters and stop words from returned terms, preserving
     underscores so multi-word concepts stay single tokens
 
+E1-E3 are one retrieval step that differs only in its query:
+``strategy_query`` builds each strategy's query and ``strategy_outputs``
+searches and gathers the hits of every strategy the same way.
+
 Presets A1-A5 are fixed combinations of a representation, strategies,
 and a retrieval depth k; all of them apply E4 and E5.
 """
@@ -43,6 +47,7 @@ from .textproc import (
 
 
 class Strategy(Enum):
+    # declaration order is the order strategy_outputs runs them in
     E1 = "E1"
     E2 = "E2"
     E3 = "E3"
@@ -53,9 +58,6 @@ class EnrichmentOutput:
     titles: list[str] = field(default_factory=list)
     categories: list[str] = field(default_factory=list)
     linked_concepts: list[str] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not (self.titles or self.categories or self.linked_concepts)
 
 
 @dataclass(frozen=True)
@@ -85,32 +87,7 @@ PRESETS: dict[str, Preset] = {
 
 
 def _dedup(items: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
-def enrich_e1(doc: TaggedDocument, index: KbIndex, n: int) -> EnrichmentOutput:
-    """Top-n records by matching document contents; titles plus their
-    categories, in hit order."""
-    if not doc.tokens:
-        return EnrichmentOutput()
-    query = FieldedQuery([
-        QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(tok.surface))
-        for tok, _ in doc.tokens
-    ])
-    hits = index.search(query, n)
-    titles = []
-    categories = []
-    for hit in hits:
-        record = index.get_record(hit.record_title)
-        titles.append(record.title)
-        categories.extend(record.categories)
-    return EnrichmentOutput(titles=_dedup(titles), categories=_dedup(categories))
+    return list(dict.fromkeys(items))
 
 
 def build_e2_query(
@@ -132,33 +109,6 @@ def build_e2_query(
     return FieldedQuery(clauses)
 
 
-def _gather(index: KbIndex, hits) -> EnrichmentOutput:
-    titles, categories, linked = [], [], []
-    for hit in hits:
-        record = index.get_record(hit.record_title)
-        titles.append(record.title)
-        categories.extend(record.categories)
-        linked.extend(record.linked_concepts)
-    return EnrichmentOutput(
-        titles=_dedup(titles),
-        categories=_dedup(categories),
-        linked_concepts=_dedup(linked),
-    )
-
-
-def enrich_e2(
-    doc: TaggedDocument,
-    index: KbIndex,
-    k: int,
-    title_term: str | None = None,
-    min_rank: int = 5,
-) -> EnrichmentOutput:
-    if not doc.tokens:
-        return EnrichmentOutput()
-    query = build_e2_query(doc, title_term, min_rank)
-    return _gather(index, index.search(query, k))
-
-
 _TYPE_TERMS = {
     EntityTag.PERSON: "freebase:person",
     EntityTag.LOCATION: "freebase:location",
@@ -166,27 +116,27 @@ _TYPE_TERMS = {
 }
 
 
-def enrich_e3(
-    doc: TaggedDocument,
-    index: KbIndex,
-    k: int,
-    title_term: str | None = None,
-    min_rank: int = 5,
-) -> EnrichmentOutput:
-    """E2 with an extra SHOULD types clause per distinct entity kind
-    present in the document. With no tags this is exactly E2."""
-    if not doc.tokens:
-        return EnrichmentOutput()
-    query = build_e2_query(doc, title_term, min_rank)
-    kinds = {tag for _, tag in doc.tokens if tag is not EntityTag.NONE}
+def strategy_query(
+    doc: TaggedDocument, strategy: Strategy, preset: Preset
+) -> FieldedQuery:
+    """E1: one SHOULD contents clause per token. E2: ``build_e2_query``.
+    E3: E2 plus one SHOULD types clause per distinct entity kind in the
+    document, in PERSON, LOCATION, ORGANIZATION order (untagged: E2)."""
+    if strategy is Strategy.E1:
+        return FieldedQuery([
+            QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(tok.surface))
+            for tok, _ in doc.tokens
+        ])
+    query = build_e2_query(doc, preset.title_term, preset.min_rank)
+    if strategy is Strategy.E2:
+        return query
+    kinds = {tag for _, tag in doc.tokens}
     type_clauses = [
-        QueryClause(FieldName.TYPES, Occur.SHOULD, Term(_TYPE_TERMS[kind]))
-        for kind in (EntityTag.PERSON, EntityTag.LOCATION, EntityTag.ORGANIZATION)
-        if kind in kinds
+        QueryClause(FieldName.TYPES, Occur.SHOULD, Term(term))
+        for kind, term in _TYPE_TERMS.items() if kind in kinds
     ]
     # keep the MUST_NOT page-rank clause last in the canonical form
-    clauses = query.clauses[:-1] + type_clauses + query.clauses[-1:]
-    return _gather(index, index.search(FieldedQuery(clauses), k))
+    return FieldedQuery(query.clauses[:-1] + type_clauses + query.clauses[-1:])
 
 
 def filter_e4(term: str) -> bool:
@@ -218,24 +168,28 @@ def clean_e5(terms: list[str], stoplist: set[str]) -> list[str]:
     return cleaned
 
 
-_STRATEGY_ORDER = (Strategy.E1, Strategy.E2, Strategy.E3)
-
-
 def strategy_outputs(
     doc: TaggedDocument, preset: Preset, index: KbIndex
 ) -> list[tuple[Strategy, EnrichmentOutput]]:
-    """Run the preset's retrieval strategies, in E1, E2, E3 order."""
+    """Run the preset's strategies in E1, E2, E3 order, each gathering its
+    top ``preset.k`` hits' titles, categories and (but for E1) linked
+    concepts, deduplicated in hit order; a document without tokens gets
+    nothing."""
     outputs = []
-    for strategy in _STRATEGY_ORDER:
+    for strategy in Strategy:
         if strategy not in preset.strategies:
             continue
-        if strategy is Strategy.E1:
-            out = enrich_e1(doc, index, preset.k)
-        elif strategy is Strategy.E2:
-            out = enrich_e2(doc, index, preset.k, preset.title_term, preset.min_rank)
-        else:
-            out = enrich_e3(doc, index, preset.k, preset.title_term, preset.min_rank)
-        outputs.append((strategy, out))
+        hits = (index.search(strategy_query(doc, strategy, preset), preset.k)
+                if doc.tokens else [])
+        titles, categories, linked = [], [], []
+        for hit in hits:
+            record = index.get_record(hit.record_title)
+            titles.append(record.title)
+            categories.extend(record.categories)
+            if strategy is not Strategy.E1:
+                linked.extend(record.linked_concepts)
+        outputs.append((strategy, EnrichmentOutput(
+            _dedup(titles), _dedup(categories), _dedup(linked))))
     return outputs
 
 

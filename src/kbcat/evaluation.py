@@ -182,8 +182,7 @@ class CvResult:
 def cv_folds(docs: list[RawDocument], k: int, seed: int) -> list[Fold]:
     """k stratified folds, each testing on its part and training on the
     rest; a fold without test documents is an error before any run."""
-    assignment = make_folds(docs, k, seed).assignment
-    fold_of = [assignment[d.id] for d in docs]
+    fold_of = make_folds(docs, k, seed)
     folds = [([i for i, f in enumerate(fold_of) if f != fold],
               [i for i, f in enumerate(fold_of) if f == fold]) for fold in range(k)]
     for fold, (_train, test) in enumerate(folds):

@@ -44,7 +44,8 @@ from .evaluation import (
 from .features import count_terms, fit_vocabulary, vectorize
 from .kbindex import KbIndex, load_kb_dump
 from .learn import PredictionMode, TrainConfig, predict, save_models, train_one_vs_rest
-from .textproc import Gazetteer, TextResources, load_noun_lexicon, load_stoplist
+from .textproc import (Gazetteer, TaggedDocument, TextResources, load_noun_lexicon,
+                       load_stoplist)
 
 logger = logging.getLogger(__name__)
 
@@ -92,12 +93,17 @@ def admit_documents(
     docs: list[RawDocument], categories: tuple[str, ...]
 ) -> list[RawDocument]:
     """Keep documents with at least one label in the evaluated categories,
-    restricting their label sets to that subset."""
+    restricting their label sets to that subset. Admitted documents must
+    have distinct ids."""
     cat_set = set(categories)
     admitted = []
+    seen: set[str] = set()
     for doc in docs:
         labels = doc.labels & cat_set
         if labels:
+            if doc.id in seen:
+                raise ValueError(f"duplicate document id {doc.id!r}")
+            seen.add(doc.id)
             admitted.append(replace(doc, labels=labels))
     return admitted
 
@@ -107,9 +113,10 @@ def prepare_documents(
     cfg: ExperimentConfig,
     index: KbIndex | None,
     resources: TextResources,
-) -> dict[str, object]:
+) -> list[TaggedDocument]:
+    """Represent and enrich each document; the list follows ``docs``."""
     preset = cfg.resolve_preset()
-    return {doc.id: apply_preset(doc, preset, index, resources) for doc in docs}
+    return [apply_preset(doc, preset, index, resources) for doc in docs]
 
 
 def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentConfig):
@@ -180,7 +187,7 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     def evaluate():
         folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"
                  else split_fold(admitted))
-        runner = make_fold_runner([prepared[d.id] for d in admitted], categories, cfg)
+        runner = make_fold_runner(prepared, categories, cfg)
         return run_folds(folds, runner, categories)
 
     evaluated = stage("evaluate", evaluate)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from kbcat.kbindex import KnowledgeRecord
+from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
+from kbcat.kbindex import KbIndex, KnowledgeRecord
 from kbcat.textproc import EntityTag, Gazetteer, Representation, TaggedDocument, Token
 
 # A 20-Newsgroups style post used as the golden representation fixture.
@@ -127,3 +128,18 @@ def make_tagged(
         labels=labels or set(),
         representation=representation,
     )
+
+
+def retrieve(
+    doc: TaggedDocument,
+    index: KbIndex,
+    strategy: Strategy,
+    k: int,
+    title_term: str | None = None,
+    min_rank: int = 5,
+) -> EnrichmentOutput:
+    """One strategy's output for a document, through ``strategy_outputs``."""
+    preset = Preset(name="custom", strategies=frozenset({strategy}), k=k,
+                    title_term=title_term, min_rank=min_rank)
+    [(_, out)] = strategy_outputs(doc, preset, index)
+    return out

@@ -1,6 +1,7 @@
 """Configuration parsing, experiment orchestration, artifacts, and the CLI."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("k", "abc"), ("svm_c", "high"), ("cv_folds", "2.5"), ("save_models", "maybe"),
-        ("k", "0"), ("k", "-2"),
+        ("k", "0"), ("k", "-2"), ("svm_c", "0"), ("svm_c", "nan"), ("svm_c", "inf"),
+        ("svm_tolerance", "nan"), ("svm_tolerance", "inf"),
     ])
     def test_bad_typed_value_names_key(self, separable_corpus, key, value):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -297,8 +299,7 @@ class TestRunExperiment:
         cfg = parse_config_text(_config_text(separable_corpus))
         docs, categories = load_corpus(cfg)
         admitted = admit_documents(docs, categories)
-        prepared = prepare_documents(admitted, cfg, None, load_resources(cfg))
-        tagged = [prepared[d.id] for d in admitted]
+        tagged = prepare_documents(admitted, cfg, None, load_resources(cfg))
         _, terms = count_terms(tagged)
         folds = cv_folds(admitted, 4, cfg.seed)
         result = run_folds(folds, make_fold_runner(tagged, categories, cfg), categories)
@@ -441,6 +442,8 @@ class TestCli:
         "runs_entry_without_equals",
         "unknown_gazetteer_kind_enrich_preview",
         "unknown_gazetteer_kind_run",
+        "repeated_newid_run",
+        "missing_newid_run",
     ])
     def test_bad_input_is_one_error_line(self, case, separable_corpus, tmp_path,
                                          capsys):
@@ -486,6 +489,19 @@ class TestCli:
         elif case == "runs_entry_without_equals":
             argv = report("good", "good")[:-1] + ["foo"]
             message = "error: --runs entries look like NAME=PATH, got 'foo'"
+        elif case.endswith("newid_run"):
+            # documents sharing an id would collapse into one prepared document
+            sgm = tmp_path / "reuters" / "reut2-000.sgm"
+            synth.write_reuters_sgml(synth.build_docs(), sgm)
+            # an element whose NEWID and OLDID are both empty gets the id ''
+            doc_id = "7" if case == "repeated_newid_run" else ""
+            text = sgm.read_text(encoding="latin-1")
+            sgm.write_text(re.sub(r'NEWID="\d+"', f'NEWID="{doc_id}"', text),
+                           encoding="latin-1")
+            cfg_path.write_text(f"dataset = reuters90\ncorpus_dir = {sgm.parent}\n",
+                                encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+            message = f"error: stage 'admit' failed: duplicate document id {doc_id!r}\n"
         else:
             gazetteer = tmp_path / "gazetteer.tsv"
             gazetteer.write_text("Reno\tPERSON\nFido\tANIMAL\n", encoding="utf-8")

@@ -180,13 +180,17 @@ class TestSelectCategorySubset:
         assert subset.categories == ("both",)
 
 
+def _fold_ids(docs, folds, fold):
+    return [d.id for d, f in zip(docs, folds, strict=True) if f == fold]
+
+
 class TestMakeFolds:
     def test_forced_stratification(self):
         docs = [_doc(f"a{i}", {"a"}) for i in range(4)]
         docs += [_doc(f"b{i}", {"b"}) for i in range(4)]
         folds = make_folds(docs, 4, seed=3)
         for fold in range(4):
-            ids = folds.fold_ids(fold)
+            ids = _fold_ids(docs, folds, fold)
             assert len(ids) == 2
             assert len({i[0] for i in ids}) == 2  # one of each label
 
@@ -197,7 +201,7 @@ class TestMakeFolds:
     def test_round_robin_sizes(self):
         docs = [_doc(f"d{i}", {"only"}) for i in range(5)]
         folds = make_folds(docs, 4, seed=0)
-        sizes = sorted(len(folds.fold_ids(f)) for f in range(4))
+        sizes = sorted(len(_fold_ids(docs, folds, f)) for f in range(4))
         assert sizes == [1, 1, 1, 2]
 
     def test_small_stratum_warns(self, caplog):
@@ -217,6 +221,6 @@ class TestMakeFolds:
     def test_partition_properties(self):
         docs = [_doc(f"d{i}", {f"c{i % 3}"}) for i in range(23)]
         folds = make_folds(docs, 4, seed=5)
-        all_ids = [i for f in range(4) for i in folds.fold_ids(f)]
+        all_ids = [i for f in range(4) for i in _fold_ids(docs, folds, f)]
         assert sorted(all_ids) == sorted(d.id for d in docs)
         assert len(all_ids) == len(set(all_ids))

@@ -2,19 +2,18 @@
 
 import pytest
 
-from conftest import HEALTH_RECORD, make_tagged
+from conftest import HEALTH_RECORD, make_tagged, retrieve
 from kbcat.corpus import RawDocument
 from kbcat.enrich import (
     PRESETS,
+    EnrichmentOutput,
     Preset,
     Strategy,
     apply_preset,
     build_e2_query,
     clean_e5,
-    enrich_e1,
-    enrich_e2,
-    enrich_e3,
     filter_e4,
+    strategy_query,
 )
 from kbcat.kbindex import FieldName, KbIndex, KnowledgeRecord, Occur, serialize_query
 from kbcat.textproc import EntityTag, Representation, TextResources
@@ -49,11 +48,11 @@ EXPECTED_E2_QUERY = (
 
 class TestEnrichE1:
     def test_empty_doc(self, kb_sample):
-        out = enrich_e1(make_tagged([]), KbIndex(kb_sample), 5)
-        assert out.is_empty()
+        out = retrieve(make_tagged([]), KbIndex(kb_sample), Strategy.E1, 5)
+        assert out == EnrichmentOutput()
 
     def test_kaiser_retrieval(self, kb_sample):
-        out = enrich_e1(make_tagged(["kaiser"]), KbIndex(kb_sample), 5)
+        out = retrieve(make_tagged(["kaiser"]), KbIndex(kb_sample), Strategy.E1, 5)
         assert out.titles == ["Kaiser Permanente"]
         assert "Health maintenance organizations" in out.categories
         assert out.linked_concepts == []
@@ -67,7 +66,7 @@ class TestEnrichE1:
         ]
         index = KbIndex(records)
         doc = make_tagged(["drug", "heart"])
-        out = enrich_e1(doc, index, 5)
+        out = retrieve(doc, index, Strategy.E1, 5)
         # E1's query is the bare contents clauses; rebuild it for the oracle
         from kbcat.kbindex import FieldedQuery, QueryClause, Term
         query = FieldedQuery([
@@ -104,13 +103,45 @@ class TestBuildE2Query:
         assert serialize_query(query) == "contents:drug contents:drug -pageRank:[1 TO 5]"
 
 
+class TestStrategyQuery:
+    # tagged in reverse of the canonical kind order, with a repeated token
+    DOC = make_tagged(
+        ["fbi", "america", "reno", "drug", "drug"],
+        representation=Representation.T4,
+        tags=[EntityTag.ORGANIZATION, EntityTag.LOCATION, EntityTag.PERSON,
+              EntityTag.NONE, EntityTag.NONE],
+    )
+    PRESET = Preset(name="custom", title_term="usa", min_rank=5)
+    CONTENTS = ("contents:fbi contents:america contents:reno contents:drug "
+                "contents:drug")
+
+    def _serialized(self, strategy):
+        return serialize_query(strategy_query(self.DOC, strategy, self.PRESET))
+
+    def test_e1_is_bare_contents_clauses(self):
+        assert self._serialized(Strategy.E1) == self.CONTENTS
+
+    def test_e2_is_build_e2_query(self):
+        expected = serialize_query(build_e2_query(self.DOC, "usa", 5))
+        assert self._serialized(Strategy.E2) == expected
+        assert expected == f"wikiTitle:usa {self.CONTENTS} -pageRank:[1 TO 5]"
+
+    def test_e3_types_in_kind_order_before_page_rank(self):
+        assert self._serialized(Strategy.E3) == (
+            f"wikiTitle:usa {self.CONTENTS} types:freebase:person "
+            "types:freebase:location types:freebase:organization "
+            "-pageRank:[1 TO 5]"
+        )
+
+
 class TestEnrichE2:
     def test_empty_doc(self, kb_sample):
-        assert enrich_e2(make_tagged([]), KbIndex(kb_sample), 5).is_empty()
+        out = retrieve(make_tagged([]), KbIndex(kb_sample), Strategy.E2, 5)
+        assert out == EnrichmentOutput()
 
     def test_linked_concepts_gathered(self):
         index = KbIndex([HEALTH_RECORD])
-        out = enrich_e2(make_tagged(["insurance", "medicare"]), index, 5)
+        out = retrieve(make_tagged(["insurance", "medicare"]), index, Strategy.E2, 5)
         assert out.titles == ["Health insurance in the United States"]
         assert "Medicare (United States)" in out.linked_concepts
 
@@ -119,14 +150,14 @@ class TestEnrichE2:
             KnowledgeRecord(title="junky", contents="drug", page_rank=2),
             KnowledgeRecord(title="solid", contents="drug", page_rank=9),
         ]
-        out = enrich_e2(make_tagged(["drug"]), KbIndex(records), 5)
+        out = retrieve(make_tagged(["drug"]), KbIndex(records), Strategy.E2, 5)
         assert out.titles == ["solid"]
 
     def test_top_k_prefix_property(self, kb_sample):
         index = KbIndex(kb_sample)
         doc = make_tagged(["health", "insurance", "kaiser"])
-        one = enrich_e2(doc, index, 1)
-        two = enrich_e2(doc, index, 2)
+        one = retrieve(doc, index, Strategy.E2, 1)
+        two = retrieve(doc, index, Strategy.E2, 2)
         assert two.titles[: len(one.titles)] == one.titles
         assert two.categories[: len(one.categories)] == one.categories
         assert two.linked_concepts[: len(one.linked_concepts)] == one.linked_concepts
@@ -143,17 +174,18 @@ class TestEnrichE3:
     def test_types_clause_boosts_typed_record(self):
         doc = make_tagged(["shared"], representation=Representation.T4,
                           tags=[EntityTag.ORGANIZATION])
-        out = enrich_e3(doc, self._typed_index(), 2)
+        out = retrieve(doc, self._typed_index(), Strategy.E3, 2)
         assert out.titles == ["Org", "Plain"]
 
     def test_untagged_doc_equals_e2(self):
         doc = make_tagged(["shared"], representation=Representation.T4)
-        assert enrich_e3(doc, self._typed_index(), 2) == enrich_e2(
-            doc, self._typed_index(), 2
+        assert retrieve(doc, self._typed_index(), Strategy.E3, 2) == retrieve(
+            doc, self._typed_index(), Strategy.E2, 2
         )
 
     def test_empty_doc(self):
-        assert enrich_e3(make_tagged([]), self._typed_index(), 2).is_empty()
+        out = retrieve(make_tagged([]), self._typed_index(), Strategy.E3, 2)
+        assert out == EnrichmentOutput()
 
 
 class TestFilterE4:
@@ -283,8 +315,8 @@ class TestApplyPreset:
 
     def test_k_monotonic_title_prefix(self):
         doc = make_tagged(["ember", "violet"])
-        small = enrich_e2(doc, _mini_index(), 1)
-        large = enrich_e2(doc, _mini_index(), 3)
+        small = retrieve(doc, _mini_index(), Strategy.E2, 1)
+        large = retrieve(doc, _mini_index(), Strategy.E2, 3)
         assert large.titles[: len(small.titles)] == small.titles
 
     def test_deterministic(self):

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import make_tagged
-from kbcat.enrich import enrich_e3
+from conftest import make_tagged, retrieve
+from kbcat.enrich import Strategy
 from kbcat.kbindex import (
     DuplicateTitleError,
     FieldedQuery,
@@ -115,8 +115,8 @@ class TestLazyFields:
         # E3 without entity tags is exactly E2's query
         index = KbIndex(kb_sample)
         assert index._fields == {}
-        enrich_e3(make_tagged(["kaiser", "health"], tags=tags), index, 5,
-                  title_term=title_term)
+        retrieve(make_tagged(["kaiser", "health"], tags=tags), index, Strategy.E3, 5,
+                 title_term=title_term)
         assert set(index._fields) == built
 
 
@@ -385,9 +385,10 @@ class TestSearchOracle:
 
 
 def _random_e2_query(rng: random.Random) -> FieldedQuery:
-    """Shaped like enrich.build_e2_query/enrich_e3: many repeated contents
-    clauses (raw surfaces, so some need normalizing), an optional wikiTitle
-    clause, occasional types clauses and the trailing page-rank floor."""
+    """Shaped like enrich.strategy_query's E2/E3 queries: many repeated
+    contents clauses (raw surfaces, so some need normalizing), an optional
+    wikiTitle clause, occasional types clauses and the trailing page-rank
+    floor."""
     vocab = ["drug", "heart", "trial", "safety", "kaiser", "health", "usa",
              "data", "Market", "oral,", "(study)", "absent"]
     clauses = []
