@@ -2,7 +2,7 @@
 
 Subcommands:
   run             execute a configured experiment
-  index build     validate a KB dump, index it and write its stats
+  index build     validate a KB dump and write its record count
   enrich preview  show a document before and after enrichment
   report          build an improvement table from saved metrics files
 
@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = sub.add_parser("index", help="knowledge-base index commands")
     index_sub = index.add_subparsers(dest="index_command", required=True)
-    build = index_sub.add_parser("build", help="build an index from a KB dump")
+    build = index_sub.add_parser(
+        "build", help="validate a KB dump and write its record count")
     build.add_argument("--dump", required=True)
     build.add_argument("--out", required=True)
     build.set_defaults(func=_cmd_index_build)

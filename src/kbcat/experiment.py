@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .features import count_terms, fit_vocabulary, vectorize
 from .kbindex import KbIndex, load_kb_dump
-from .learn import PredictionMode, TrainConfig, predict, save_models, train_one_vs_rest
+from .learn import TrainConfig, predict, save_models, train_one_vs_rest
 from .textproc import (Gazetteer, TaggedDocument, TextResources, load_noun_lexicon,
                        load_stoplist)
 
@@ -60,9 +60,8 @@ class StageError(RuntimeError):
 @dataclass
 class ExperimentResult:
     name: str
-    micro_f: float
+    micro_f: float  # the headline row of the run rows in metrics.tsv
     macro_f: float
-    report: MetricReport  # pooled (cv) or overall (split)
     cv: CvResult | None
     manifest: dict[str, str]
     out_dir: Path | None
@@ -122,8 +121,7 @@ def prepare_documents(
 def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentConfig):
     """Count the terms of every prepared document once, row i for the fold
     rows' document i; each fold trains and predicts on row selections."""
-    mode = (PredictionMode.MULTI_LABEL if cfg.resolved_label_mode() == "multi"
-            else PredictionMode.SINGLE_LABEL)
+    mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
     counts, _terms = count_terms(tagged)
@@ -192,19 +190,18 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
 
     evaluated = stage("evaluate", evaluate)
     cv = evaluated if eval_mode == "cv" else None
-    # the CV mean; the mean of a split's one fold is its overall score
-    micro = statistics.mean(r.micro_f for r in evaluated.fold_reports)
-    macro = statistics.mean(r.macro_f for r in evaluated.fold_reports)
+    rows = run_rows(evaluated, cv=cv is not None)
+    micro, macro = headline_scores(dict(rows))
 
     manifest = build_manifest(cfg, name, eval_mode, timings)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         stage("report", lambda: _write_artifacts(
-            out_dir, name, cfg, manifest, cv, evaluated))
+            out_dir, name, cfg, manifest, cv, evaluated, rows))
 
     return ExperimentResult(
-        name=name, micro_f=micro, macro_f=macro, report=evaluated.pooled,
-        cv=cv, manifest=manifest, out_dir=out_dir,
+        name=name, micro_f=micro, macro_f=macro, cv=cv, manifest=manifest,
+        out_dir=out_dir,
     )
 
 
@@ -252,50 +249,61 @@ def manifest_config(manifest: dict[str, str]) -> ExperimentConfig:
     return config_from_dict(snapshot)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _tsv_line(*cells: str | float) -> str:
+    """One TSV line; numbers are written with six decimals."""
+    return "\t".join(c if isinstance(c, str) else f"{c:.6f}" for c in cells)
 
 
-def format_metrics_tsv(cv: CvResult | None, report: MetricReport) -> str:
-    """Deterministic TSV: run rows (folds, mean, sd, pooled for CV; overall
-    for a fixed split) followed by per-category precision/recall/F rows."""
+def run_rows(evaluated: CvResult, cv: bool) -> list[tuple[str, tuple[float, ...]]]:
+    """The run rows of metrics.tsv, each a label and (micro_p, micro_r,
+    micro_f, macro_f): one per fold, then the folds' mean and sample sd
+    and the pooled scores for CV; one ``overall`` row for a fixed split."""
+    def scores(r: MetricReport) -> tuple[float, ...]:
+        return (r.micro_precision, r.micro_recall, r.micro_f, r.macro_f)
+
+    if not cv:
+        return [("overall", scores(evaluated.pooled))]
+    rows = [(f"fold{i}", scores(r)) for i, r in enumerate(evaluated.fold_reports)]
+    columns = list(zip(*(values for _, values in rows)))
+    rows.append(("mean", tuple(statistics.mean(c) for c in columns)))
+    rows.append(("sd", tuple(statistics.stdev(c) if len(c) > 1 else 0.0
+                             for c in columns)))
+    rows.append(("pooled", scores(evaluated.pooled)))
+    return rows
+
+
+def headline_scores(runs: dict[str, tuple[float, ...]]) -> tuple[float, float]:
+    """(micro_f, macro_f) of the run rows: the CV mean when present, the
+    overall row otherwise."""
+    row = runs["mean"] if "mean" in runs else runs["overall"]
+    return row[2], row[3]
+
+
+def format_metrics_tsv(
+    rows: list[tuple[str, tuple[float, ...]]],
+    per_category: dict[str, tuple[float, float, float]],
+) -> str:
+    """Deterministic TSV: the run rows, then per-category precision,
+    recall and F rows whose last cell is ``-``."""
     lines = ["row\tname\tmicro_p\tmicro_r\tmicro_f\tmacro_f"]
-
-    def run_row(label: str, r: MetricReport) -> str:
-        return ("run\t" + label + "\t" + _fmt(r.micro_precision) + "\t"
-                + _fmt(r.micro_recall) + "\t" + _fmt(r.micro_f) + "\t"
-                + _fmt(r.macro_f))
-
-    if cv is not None:
-        for i, fold_report in enumerate(cv.fold_reports):
-            lines.append(run_row(f"fold{i}", fold_report))
-        cols = [
-            [r.micro_precision for r in cv.fold_reports],
-            [r.micro_recall for r in cv.fold_reports],
-            [r.micro_f for r in cv.fold_reports],
-            [r.macro_f for r in cv.fold_reports],
-        ]
-        mean_cells = "\t".join(_fmt(statistics.mean(c)) for c in cols)
-        sd_cells = "\t".join(
-            _fmt(statistics.stdev(c) if len(c) > 1 else 0.0) for c in cols
-        )
-        lines.append(f"run\tmean\t{mean_cells}")
-        lines.append(f"run\tsd\t{sd_cells}")
-        lines.append(run_row("pooled", cv.pooled))
-    else:
-        lines.append(run_row("overall", report))
-
-    # category rows carry per-category precision, recall, F in the first
-    # three numeric columns
-    for category in sorted(report.per_category):
-        p, r, f = report.per_category[category]
-        lines.append(f"category\t{category}\t{_fmt(p)}\t{_fmt(r)}\t{_fmt(f)}\t-")
+    lines += [_tsv_line("run", label, *values) for label, values in rows]
+    lines += [_tsv_line("category", category, *per_category[category], "-")
+              for category in sorted(per_category)]
     return "\n".join(lines) + "\n"
 
 
+def _score(cell: str) -> float:
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise ValueError(f"score {cell!r} is not in [0, 1]")
+    return value
+
+
 def parse_metrics_tsv(path: Path) -> dict[str, dict[str, tuple[float, ...]]]:
-    runs: dict[str, tuple[float, ...]] = {}
-    categories: dict[str, tuple[float, ...]] = {}
+    """The run rows (four scores each) and category rows (precision,
+    recall, F, then ``-``) of a metrics TSV. Every score must be a number
+    in [0, 1], and a ``mean`` or ``overall`` run row must be present."""
+    parsed: dict[str, dict[str, tuple[float, ...]]] = {"runs": {}, "categories": {}}
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
@@ -304,88 +312,57 @@ def parse_metrics_tsv(path: Path) -> dict[str, dict[str, tuple[float, ...]]]:
         try:
             if len(cells) != 6:
                 raise ValueError(f"expected 6 TAB-separated cells, got {len(cells)}")
-            values = tuple(float(c) for c in cells[2:] if c != "-")
+            kind, label, *numbers = cells
+            if kind == "category":
+                last = numbers.pop()
+                if last != "-":
+                    raise ValueError(f"a category row ends in '-', got {last!r}")
+            elif kind != "run":
+                raise ValueError(f"unknown row kind {kind!r}, expected 'run' or 'category'")
+            rows = parsed["runs" if kind == "run" else "categories"]
+            if label in rows:
+                raise ValueError(f"repeated {kind} row {label!r}")
+            rows[label] = tuple(_score(c) for c in numbers)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        kind, label = cells[:2]
-        if kind == "run":
-            runs[label] = values
-        else:
-            categories[label] = values
-    return {"runs": runs, "categories": categories}
+    if "mean" not in parsed["runs"] and "overall" not in parsed["runs"]:
+        raise ValueError(f"{path}: no 'mean' or 'overall' run row")
+    return parsed
 
 
-def headline_scores(parsed: dict) -> tuple[float, float]:
-    """(micro_f, macro_f) of a parsed metrics TSV: the CV mean when
-    present, the overall row otherwise."""
-    runs = parsed["runs"]
-    row = runs.get("mean") or runs.get("overall")
-    if row is None:
-        raise ValueError("metrics file has neither a 'mean' nor an 'overall' row")
-    return row[2], row[3]
-
-
-def emit_improvement_table(
-    baseline, runs: list[tuple[str, object]]
-) -> str:
-    """Baseline row plus one row per named run with micro/macro F and the
-    signed percent change against the baseline."""
-    lines = ["run\tmicro_f\tmacro_f\tmicro_improvement\tmacro_improvement"]
-    lines.append(
-        f"baseline\t{_fmt(baseline.micro_f)}\t{_fmt(baseline.macro_f)}\t-\t-"
-    )
-    for name, run in runs:
-        micro_pct = relative_improvement(baseline.micro_f, run.micro_f)
-        macro_pct = relative_improvement(baseline.macro_f, run.macro_f)
-        lines.append(
-            f"{name}\t{_fmt(run.micro_f)}\t{_fmt(run.macro_f)}\t"
-            f"{micro_pct:+.2f}%\t{macro_pct:+.2f}%"
-        )
-    return "\n".join(lines) + "\n"
-
-
-@dataclass
-class _Scores:
-    micro_f: float
-    macro_f: float
+def _fold_scores(runs: dict[str, tuple[float, ...]]) -> list[tuple[float, ...]]:
+    return [runs[label] for label in sorted(runs) if label.startswith("fold")]
 
 
 def improvement_table_from_files(
     baseline_path: Path, run_paths: list[tuple[str, Path]], with_t_test: bool = False
 ) -> str:
-    """Build the improvement table from saved metrics TSVs; optionally
-    append paired t-test columns computed over matching fold rows."""
-    base_parsed = parse_metrics_tsv(baseline_path)
-    base = _Scores(*headline_scores(base_parsed))
-    rows = []
+    """The baseline row and one row per named run from saved metrics TSVs:
+    micro/macro F and the signed percent change against the baseline, and
+    optionally paired t-test columns over matching fold rows."""
+    base = parse_metrics_tsv(baseline_path)["runs"]
+    base_micro, base_macro = headline_scores(base)
+    base_folds = _fold_scores(base)
+    header = "run\tmicro_f\tmacro_f\tmicro_improvement\tmacro_improvement"
+    if with_t_test:
+        header += "\tt_micro\tp_micro\tt_macro\tp_macro"
+    t_cells = "\t-\t-\t-\t-" if with_t_test else ""
+    lines = [header,
+             _tsv_line("baseline", base_micro, base_macro, "-", "-") + t_cells]
     for name, path in run_paths:
-        parsed = parse_metrics_tsv(path)
-        rows.append((name, _Scores(*headline_scores(parsed)), parsed))
-
-    table = emit_improvement_table(base, [(n, s) for n, s, _ in rows])
-    if not with_t_test:
-        return table
-
-    def fold_values(parsed: dict, col: int) -> list[float]:
-        runs = parsed["runs"]
-        labels = sorted(l for l in runs if l.startswith("fold"))
-        return [runs[l][col] for l in labels]
-
-    lines = table.rstrip("\n").split("\n")
-    lines[0] += "\tt_micro\tp_micro\tt_macro\tp_macro"
-    lines[1] += "\t-\t-\t-\t-"
-    base_micro = fold_values(base_parsed, 2)
-    base_macro = fold_values(base_parsed, 3)
-    for i, (_name, _scores, parsed) in enumerate(rows):
-        run_micro = fold_values(parsed, 2)
-        run_macro = fold_values(parsed, 3)
-        if len(run_micro) >= 2 and len(run_micro) == len(base_micro):
-            t_mi = paired_t_test(run_micro, base_micro)
-            t_ma = paired_t_test(run_macro, base_macro)
-            lines[2 + i] += (f"\t{t_mi.t:+.3f}\t{t_mi.p_two_tailed:.4f}"
-                             f"\t{t_ma.t:+.3f}\t{t_ma.p_two_tailed:.4f}")
+        runs = parse_metrics_tsv(path)["runs"]
+        micro, macro = headline_scores(runs)
+        line = _tsv_line(name, micro, macro,
+                         f"{relative_improvement(base_micro, micro):+.2f}%",
+                         f"{relative_improvement(base_macro, macro):+.2f}%")
+        folds = _fold_scores(runs)
+        if with_t_test and len(folds) >= 2 and len(folds) == len(base_folds):
+            for col in (2, 3):  # micro_f, macro_f
+                t = paired_t_test([f[col] for f in folds], [b[col] for b in base_folds])
+                line += f"\t{t.t:+.3f}\t{t.p_two_tailed:.4f}"
         else:
-            lines[2 + i] += "\t-\t-\t-\t-"
+            line += t_cells
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -396,11 +373,12 @@ def _write_artifacts(
     manifest: dict[str, str],
     cv: CvResult | None,
     evaluated: CvResult,
+    rows: list[tuple[str, tuple[float, ...]]],
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, out_dir / "manifest.txt")
     (out_dir / "metrics.tsv").write_text(
-        format_metrics_tsv(cv, evaluated.pooled), encoding="utf-8"
+        format_metrics_tsv(rows, evaluated.pooled.per_category), encoding="utf-8"
     )
     if cfg.baseline_metrics:
         table = improvement_table_from_files(

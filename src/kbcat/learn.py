@@ -51,11 +51,6 @@ class LinearModel:
     rel_gap: float = math.nan
 
 
-class PredictionMode:
-    MULTI_LABEL = "multi_label"
-    SINGLE_LABEL = "single_label"
-
-
 def _to_csr(X: list[SparseVector], dim: int) -> sp.csr_matrix:
     return sp.csr_matrix(
         ([v for x in X for v in x.values], [i for x in X for i in x.indices],
@@ -266,16 +261,16 @@ def decision_values(models: dict[str, LinearModel], X: sp.csr_matrix) -> np.ndar
 def predict(
     models: dict[str, LinearModel], X: sp.csr_matrix, mode: str
 ) -> list[set[str]]:
-    """One label set per row of ``X``. Multi-label: every category with a
-    positive decision value (may be empty). Single-label: the argmax
-    category, ties broken by category order."""
+    """One label set per row of ``X`` in a config ``label_mode``. ``multi``:
+    every category with a positive decision value (may be empty).
+    ``single``: the argmax category, ties broken by category order."""
     if not models:
         raise ValueError("no models to predict with")
     categories = list(models)
     values = decision_values(models, X)
-    if mode == PredictionMode.MULTI_LABEL:
+    if mode == "multi":
         return [{categories[j] for j in np.flatnonzero(row > 0.0)} for row in values]
-    if mode == PredictionMode.SINGLE_LABEL:
+    if mode == "single":
         return [{categories[j]} for j in values.argmax(axis=1)]
     raise ValueError(f"unknown prediction mode {mode!r}")
 

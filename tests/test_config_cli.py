@@ -16,16 +16,17 @@ from kbcat.config import (
     parse_config_text,
 )
 from kbcat.enrich import Strategy
-from kbcat.evaluation import MetricReport
+from kbcat.evaluation import CvResult, MetricReport
 from kbcat.experiment import (
     StageError,
-    emit_improvement_table,
     format_metrics_tsv,
     headline_scores,
+    improvement_table_from_files,
     load_manifest,
     manifest_config,
     parse_metrics_tsv,
     run_experiment,
+    run_rows,
 )
 from kbcat.textproc import Representation
 
@@ -330,30 +331,119 @@ class TestRunExperiment:
         assert err.value.stage == "admit"
 
 
-class TestImprovementTable:
-    def _report(self, micro, macro):
-        return MetricReport(micro_precision=micro, micro_recall=micro,
-                            micro_f=micro, macro_f=macro, per_category={})
+def _write_metrics(path: Path, rows: dict[str, tuple[float, ...]]) -> Path:
+    """A metrics.tsv holding only the given run rows."""
+    lines = ["row\tname\tmicro_p\tmicro_r\tmicro_f\tmacro_f"]
+    lines += ["\t".join(["run", label, *(f"{v:.6f}" for v in values)])
+              for label, values in rows.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
-    def test_reported_row_values(self):
-        table = emit_improvement_table(
-            self._report(0.868, 0.865), [("A4", self._report(0.919, 0.920))])
+
+class TestImprovementTable:
+    def _table(self, tmp_path, baseline, run, name):
+        """Improvement table of two metrics files whose mean rows carry
+        (micro_f, macro_f); precision and recall equal micro_f."""
+        def mean_row(micro, macro):
+            return {"mean": (micro, micro, micro, macro)}
+        base = _write_metrics(tmp_path / "base.tsv", mean_row(*baseline))
+        runs = [(name, _write_metrics(tmp_path / "run.tsv", mean_row(*run)))]
+        return improvement_table_from_files(base, runs)
+
+    def test_reported_row_values(self, tmp_path):
+        table = self._table(tmp_path, (0.868, 0.865), (0.919, 0.920), "A4")
         lines = table.strip().split("\n")
         assert lines[1].startswith("baseline\t0.868000\t0.865000\t-\t-")
         assert lines[2].split("\t")[3] == "+5.88%"
         assert lines[2].split("\t")[4] == "+6.36%"
 
-    def test_equal_run_shows_zero(self):
-        table = emit_improvement_table(
-            self._report(0.5, 0.5), [("same", self._report(0.5, 0.5))])
+    def test_equal_run_shows_zero(self, tmp_path):
+        table = self._table(tmp_path, (0.5, 0.5), (0.5, 0.5), "same")
         assert "+0.00%\t+0.00%" in table
 
-    def test_decline_has_minus_sign(self):
-        table = emit_improvement_table(
-            self._report(0.868, 0.865), [("A1", self._report(0.784, 0.768))])
+    def test_decline_has_minus_sign(self, tmp_path):
+        table = self._table(tmp_path, (0.868, 0.865), (0.784, 0.768), "A1")
         row = table.strip().split("\n")[2].split("\t")
         assert row[3] == "-9.68%"
         assert row[4] == "-11.21%"
+
+    def test_t_test_cells_by_hand(self, tmp_path):
+        # fold micro F differences 1/8, 1/4, 1/8, 1/4 (exact in binary):
+        # mean 3/16, sd 1/(8 sqrt 3), so t = (3/16) / (sd / 2) = 3 sqrt 3
+        # = 5.196 on 3 degrees of freedom, whose two-tailed p is
+        # 1 - (2/pi) (atan 3 + 3/10) = 0.0138; macro F falls by the same
+        # differences, so its t is -5.196 with the same p
+        base_folds = {f"fold{i}": (0.5, 0.5, 0.5, 0.5) for i in range(4)}
+        run_folds = {f"fold{i}": (0.5, 0.5, 0.5 + d, 0.5 - d)
+                     for i, d in enumerate((0.125, 0.25, 0.125, 0.25))}
+        base = _write_metrics(tmp_path / "base.tsv",
+                              {**base_folds, "mean": (0.5, 0.5, 0.5, 0.5)})
+        run = _write_metrics(tmp_path / "run.tsv",
+                             {**run_folds, "mean": (0.5, 0.5, 0.6875, 0.3125)})
+        table = improvement_table_from_files(base, [("E", run)], with_t_test=True)
+        assert table == (
+            "run\tmicro_f\tmacro_f\tmicro_improvement\tmacro_improvement"
+            "\tt_micro\tp_micro\tt_macro\tp_macro\n"
+            "baseline\t0.500000\t0.500000\t-\t-\t-\t-\t-\t-\n"
+            "E\t0.687500\t0.312500\t+37.50%\t-37.50%"
+            "\t+5.196\t0.0138\t-5.196\t0.0138\n")
+
+
+class TestReportGoldens:
+    """sha256 of ``improvement.tsv`` and of ``kbcat report`` output, with
+    and without ``--t-test``, on tests/synth.py runs (seed 7): a 4-fold CV
+    run and a ModApte split run of reuters90, each for the baseline and
+    A4. Recorded while the improvement table was built as text and the
+    t-test cells appended to it afterwards."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory) -> Path:
+        root = tmp_path_factory.mktemp("report_goldens")
+        synth.write_corpus_tree(synth.build_docs(), root / "corpus")
+        synth.write_reuters_sgml(synth.build_docs(), root / "sgml" / "reut2-000.sgm")
+        synth.write_kb_dump(synth.build_kb(), root / "kb.tsv")
+        corpora = {"cv": f"dataset = custom\ncorpus_dir = {root / 'corpus'}\n",
+                   "split": f"dataset = reuters90\ncorpus_dir = {root / 'sgml'}\n"}
+        for mode, corpus in corpora.items():
+            for preset in ("baseline", "A4"):
+                text = (corpus + f"kb_dump = {root / 'kb.tsv'}\npreset = {preset}\n"
+                        f"seed = 7\nout_dir = {root / mode / preset}\n")
+                if preset == "A4":
+                    text += f"baseline_metrics = {root / mode / 'baseline' / 'metrics.tsv'}\n"
+                run_experiment(parse_config_text(text))
+        return root
+
+    IMPROVEMENT_SHA256 = {
+        "cv": "7fa1053e7759a509f1e49d5bc5e0947beb0ed72cba0e77a17b1c0ba7a367f3f1",
+        "split": "07d55d52c9d6e6a4ef1656db145641fcea191bca10a43c9bc15ecd567dc187e6",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(IMPROVEMENT_SHA256))
+    def test_improvement_tsv(self, runs, mode):
+        data = (runs / mode / "A4" / "improvement.tsv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.IMPROVEMENT_SHA256[mode]
+
+    # keyed by (baseline mode, run mode, --t-test)
+    REPORT_SHA256 = {
+        ("cv", "cv", False): "7fa1053e7759a509f1e49d5bc5e0947beb0ed72cba0e77a17b1c0ba7a367f3f1",
+        ("cv", "cv", True): "a487855691f57618c4ab1329955c184f30c580f886e2fad5d13f0037c041838f",
+        ("split", "split", False): "07d55d52c9d6e6a4ef1656db145641fcea191bca10a43c9bc15ecd567dc187e6",
+        ("split", "split", True): "1f379922f95bc838fd32b54fd624c04ebc0c4ee4b11e9f46eb98a84924b9c598",
+        ("cv", "split", False): "4ca168ac1d78e139567a8d05f1c18ef39ac13a180dec9184aa45915b5b19fc9f",
+        ("cv", "split", True): "f90409fc8f32589d0d96603479afaae4b0d770157280dd41cc1d7df9944438c4",
+    }
+
+    @pytest.mark.parametrize("base, run, t_test", sorted(REPORT_SHA256))
+    def test_report_output(self, runs, capsys, base, run, t_test):
+        argv = ["report", "--baseline", str(runs / base / "baseline" / "metrics.tsv"),
+                "--runs", f"A4={runs / run / 'A4' / 'metrics.tsv'}"]
+        assert main(argv + ["--t-test"] * t_test) == 0
+        out = capsys.readouterr().out
+        if t_test and base != run:
+            # 4 CV folds against the split's one: no paired test
+            assert out.endswith("\t-\t-\t-\t-\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REPORT_SHA256[
+            base, run, t_test]
 
 
 class TestMetricsTsv:
@@ -362,7 +452,7 @@ class TestMetricsTsv:
         cfg = parse_config_text(_config_text(separable_corpus, out_dir=out))
         result = run_experiment(cfg)
         parsed = parse_metrics_tsv(out / "metrics.tsv")
-        micro, macro = headline_scores(parsed)
+        micro, macro = headline_scores(parsed["runs"])
         assert micro == pytest.approx(result.micro_f, abs=1e-6)
         assert macro == pytest.approx(result.macro_f, abs=1e-6)
         assert "fold0" in parsed["runs"]
@@ -373,7 +463,8 @@ class TestMetricsTsv:
         report = MetricReport(micro_precision=0.5, micro_recall=0.5,
                               micro_f=0.5, macro_f=0.4,
                               per_category={"a": (0.5, 0.5, 0.5)})
-        text = format_metrics_tsv(None, report)
+        text = format_metrics_tsv(run_rows(CvResult([report], report, [{}]), cv=False),
+                                  report.per_category)
         assert "run\toverall\t0.500000" in text
 
 
@@ -431,6 +522,35 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # malformed metrics files given to `report` as a run: the rows after
+    # the header, and what the error line says after "error: PATH"
+    BAD_METRICS = {
+        "dash_in_run_row": ("run\tmean\t0.5\t-\t-\t-\n",
+                            ":2: could not convert string to float: '-'"),
+        "nan_metrics_cell": ("run\tmean\tnan\t0.5\t0.5\t0.5\n",
+                             ":2: score 'nan' is not in [0, 1]"),
+        "inf_metrics_cell": ("run\tmean\t0.5\t0.5\tinf\t0.5\n",
+                             ":2: score 'inf' is not in [0, 1]"),
+        "metrics_cell_above_one": ("run\tmean\t0.5\t0.5\t0.5\t1.5\n",
+                                   ":2: score '1.5' is not in [0, 1]"),
+        "negative_metrics_cell": ("run\tmean\t0.5\t-0.25\t0.5\t0.5\n",
+                                  ":2: score '-0.25' is not in [0, 1]"),
+        "category_row_without_dash": (
+            "run\tmean\t0.5\t0.5\t0.5\t0.5\ncategory\tx\t0.5\t0.5\t0.5\t0.5\n",
+            ":3: a category row ends in '-', got '0.5'"),
+        "dash_in_category_row": (
+            "run\tmean\t0.5\t0.5\t0.5\t0.5\ncategory\tx\t0.5\t-\t0.5\t-\n",
+            ":3: could not convert string to float: '-'"),
+        "unknown_metrics_row_kind": (
+            "fold\tmean\t0.5\t0.5\t0.5\t0.5\n",
+            ":2: unknown row kind 'fold', expected 'run' or 'category'"),
+        "repeated_run_row": (
+            "run\tfold0\t0.5\t0.5\t0.5\t0.5\n" * 2 + "run\tmean\t0.5\t0.5\t0.5\t0.5\n",
+            ":3: repeated run row 'fold0'"),
+        "no_headline_row": ("run\tfold0\t0.5\t0.5\t0.5\t0.5\n",
+                            ": no 'mean' or 'overall' run row"),
+    }
+
     @pytest.mark.parametrize("case", [
         "non_numeric_config_value",
         "config_is_directory",
@@ -444,6 +564,7 @@ class TestCli:
         "unknown_gazetteer_kind_run",
         "repeated_newid_run",
         "missing_newid_run",
+        *BAD_METRICS,
     ])
     def test_bad_input_is_one_error_line(self, case, separable_corpus, tmp_path,
                                          capsys):
@@ -454,6 +575,7 @@ class TestCli:
         metrics = {"good": "run\tmean\t0.5\t0.5\t0.5\t0.5\n",
                    "zero": "run\tmean\t0.0\t0.0\t0.0\t0.0\n",
                    "text": "run\tmean\t0.5\tabc\t0.5\t0.5\n"}
+        metrics.update({case: rows for case, (rows, _) in self.BAD_METRICS.items()})
         for name, row in metrics.items():
             (tmp_path / f"{name}.tsv").write_text(header + row, encoding="utf-8")
 
@@ -481,6 +603,9 @@ class TestCli:
             argv = report("zero", "good")
         elif case == "non_numeric_metrics_cell":
             argv = report("good", "text")
+        elif case in self.BAD_METRICS:
+            argv = report("good", case)
+            message = f"error: {tmp_path / f'{case}.tsv'}{self.BAD_METRICS[case][1]}\n"
         elif case == "unknown_doc_id_enrich_preview":
             cfg_path.write_text(_config_text(separable_corpus), encoding="utf-8")
             argv = ["enrich", "preview", "--config", str(cfg_path),

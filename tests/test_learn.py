@@ -14,7 +14,6 @@ from kbcat import learn
 from kbcat.features import SparseVector
 from kbcat.learn import (
     LinearModel,
-    PredictionMode,
     TrainConfig,
     decision_values,
     load_models,
@@ -257,14 +256,14 @@ class TestOneVsRest:
         labels = [{"a"}, {"a"}, {"b"}, {"b"}]
         result = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
         assert set(result.models) == {"a", "b"}
-        assert predict(result.models, X, PredictionMode.SINGLE_LABEL) == labels
+        assert predict(result.models, X, "single") == labels
 
     def test_multilabel_doc_is_positive_for_both(self):
         X = _csr([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         labels = [{"a", "b"}, {"a"}, {"b"}, set()]
         # documents with no label act as shared negatives
         result = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
-        pred = predict(result.models, X[:1], PredictionMode.MULTI_LABEL)
+        pred = predict(result.models, X[:1], "multi")
         assert pred == [{"a", "b"}]
 
     def test_category_without_positives_skipped(self, caplog):
@@ -347,31 +346,31 @@ class TestPredict:
             "b": LinearModel(weights=np.array([-0.2]), bias=0.0),
         }
         assert predict(models, _csr([[1.0], [-1.0], [0.0]]),
-                       PredictionMode.MULTI_LABEL) == [{"a"}, {"b"}, set()]
+                       "multi") == [{"a"}, {"b"}, set()]
 
     def test_single_label_argmax(self):
         models = self._models()
         assert predict(models, _csr([[1.0], [-1.0]]),
-                       PredictionMode.SINGLE_LABEL) == [{"a"}, {"b"}]
+                       "single") == [{"a"}, {"b"}]
 
     def test_single_label_returns_least_negative(self):
         models = {
             "a": LinearModel(weights=np.array([0.0]), bias=-0.5),
             "b": LinearModel(weights=np.array([0.0]), bias=-0.2),
         }
-        assert predict(models, _csr([[1.0]]), PredictionMode.SINGLE_LABEL) == [{"b"}]
+        assert predict(models, _csr([[1.0]]), "single") == [{"b"}]
 
     def test_multilabel_may_be_empty(self):
         models = {"a": LinearModel(weights=np.array([0.0]), bias=-1.0)}
-        assert predict(models, _csr([[1.0]]), PredictionMode.MULTI_LABEL) == [set()]
+        assert predict(models, _csr([[1.0]]), "multi") == [set()]
 
     def test_argmax_invariant_under_shared_positive_scale(self):
         models = self._models()
         scaled = {c: LinearModel(weights=m.weights * 3.0, bias=m.bias * 3.0)
                   for c, m in models.items()}
         X = _csr([[-2.0], [-0.5], [0.3], [1.5]])
-        assert (predict(models, X, PredictionMode.SINGLE_LABEL)
-                == predict(scaled, X, PredictionMode.SINGLE_LABEL))
+        assert (predict(models, X, "single")
+                == predict(scaled, X, "single"))
 
     def test_tie_broken_by_category_order(self):
         models = {
@@ -379,10 +378,9 @@ class TestPredict:
             "earlier": LinearModel(weights=np.array([0.0]), bias=0.5),
         }
         # insertion order is the category order
-        assert predict(models, _csr([[1.0]]), PredictionMode.SINGLE_LABEL) == [{"later"}]
+        assert predict(models, _csr([[1.0]]), "single") == [{"later"}]
 
-    @pytest.mark.parametrize("mode", [PredictionMode.MULTI_LABEL,
-                                      PredictionMode.SINGLE_LABEL])
+    @pytest.mark.parametrize("mode", ["multi", "single"])
     def test_rows_match_decision_values(self, mode):
         rng = np.random.default_rng(9)
         X = sp.random(40, 12, density=0.3, format="csr", random_state=rng)
@@ -393,14 +391,14 @@ class TestPredict:
         pred = predict(models, X, mode)
         assert len(pred) == 40
         for row, labels in zip(values, pred):
-            if mode == PredictionMode.MULTI_LABEL:
+            if mode == "multi":
                 assert labels == {c for c, v in zip(models, row) if v > 0.0}
             else:
                 assert labels == {list(models)[int(np.argmax(row))]}
 
     def test_no_models_or_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="no models"):
-            predict({}, _csr([[1.0]]), PredictionMode.MULTI_LABEL)
+            predict({}, _csr([[1.0]]), "multi")
         with pytest.raises(ValueError, match="unknown prediction mode"):
             predict(self._models(), _csr([[1.0]]), "ranked")
 
