@@ -71,15 +71,13 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
     [prepared] = prepare_documents([doc], cfg, index, resources)
 
     print(f"document {doc.id} labels={sorted(doc.labels)}")
-    original = [t.surface for t, _ in prepared.tokens if not t.injected]
-    injected = [t.surface for t, _ in prepared.tokens if t.injected]
-    print(f"representation {preset.representation.value}: {' '.join(original)}")
+    print(f"representation {preset.representation.value}: {' '.join(prepared.tokens)}")
     if index is not None:
         for strategy, out in strategy_outputs(prepared, preset, index):
             print(f"{strategy.value} titles: {out.titles}")
             print(f"{strategy.value} categories: {out.categories}")
             print(f"{strategy.value} linked concepts: {out.linked_concepts}")
-    print(f"appended tokens: {' '.join(injected) if injected else '(none)'}")
+    print(f"appended tokens: {' '.join(prepared.injected) or '(none)'}")
     return 0
 
 

@@ -41,7 +41,6 @@ from .textproc import (
     Representation,
     TaggedDocument,
     TextResources,
-    Token,
     represent,
 )
 
@@ -93,15 +92,14 @@ def _dedup(items: list[str]) -> list[str]:
 def build_e2_query(
     doc: TaggedDocument, title_term: str | None, min_rank: int
 ) -> FieldedQuery:
-    """One SHOULD contents clause per document token (duplicates kept),
+    """One SHOULD contents clause per document word (duplicates kept),
     an optional SHOULD wikiTitle clause, and a MUST_NOT page-rank range
     [1, min_rank] so only records ranked above min_rank survive."""
     clauses: list[QueryClause] = []
     if title_term:
         clauses.append(QueryClause(FieldName.WIKI_TITLE, Occur.SHOULD, Term(title_term)))
     clauses.extend(
-        QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(tok.surface))
-        for tok, _ in doc.tokens
+        QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(word)) for word in doc.tokens
     )
     clauses.append(
         QueryClause(FieldName.PAGE_RANK, Occur.MUST_NOT, RangeBody(1, min_rank))
@@ -119,18 +117,16 @@ _TYPE_TERMS = {
 def strategy_query(
     doc: TaggedDocument, strategy: Strategy, preset: Preset
 ) -> FieldedQuery:
-    """E1: one SHOULD contents clause per token. E2: ``build_e2_query``.
+    """E1: one SHOULD contents clause per word. E2: ``build_e2_query``.
     E3: E2 plus one SHOULD types clause per distinct entity kind in the
     document, in PERSON, LOCATION, ORGANIZATION order (untagged: E2)."""
     if strategy is Strategy.E1:
-        return FieldedQuery([
-            QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(tok.surface))
-            for tok, _ in doc.tokens
-        ])
+        return FieldedQuery([QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(word))
+                             for word in doc.tokens])
     query = build_e2_query(doc, preset.title_term, preset.min_rank)
     if strategy is Strategy.E2:
         return query
-    kinds = {tag for _, tag in doc.tokens}
+    kinds = set(doc.tags)
     type_clauses = [
         QueryClause(FieldName.TYPES, Occur.SHOULD, Term(term))
         for kind, term in _TYPE_TERMS.items() if kind in kinds
@@ -173,7 +169,7 @@ def strategy_outputs(
 ) -> list[tuple[Strategy, EnrichmentOutput]]:
     """Run the preset's strategies in E1, E2, E3 order, each gathering its
     top ``preset.k`` hits' titles, categories and (but for E1) linked
-    concepts, deduplicated in hit order; a document without tokens gets
+    concepts, deduplicated in hit order; a document without words gets
     nothing."""
     outputs = []
     for strategy in Strategy:
@@ -227,16 +223,10 @@ def apply_preset(
     index: KbIndex | None,
     resources: TextResources,
 ) -> TaggedDocument:
-    """Represent a raw document and append its enrichment terms as
-    injected tokens after the original tokens."""
+    """Represent a raw document and give it its enrichment terms as
+    ``injected``."""
     tagged = represent(doc, preset.representation, resources)
     if not preset.strategies or index is None:
         return tagged
     stoplist = resources.stopwords or set()
-    terms = enrichment_terms(tagged, preset, index, stoplist)
-    next_pos = max((tok.position for tok, _ in tagged.tokens), default=-1) + 1
-    appended = [
-        (Token(surface=term, position=next_pos + i, injected=True), EntityTag.NONE)
-        for i, term in enumerate(terms)
-    ]
-    return replace(tagged, tokens=tagged.tokens + appended)
+    return replace(tagged, injected=enrichment_terms(tagged, preset, index, stoplist))

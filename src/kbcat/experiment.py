@@ -133,8 +133,7 @@ def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentC
         ovr = train_one_vs_rest(vectorize(x_train, vocab), [labels[i] for i in train],
                                 categories, train_cfg)
         gold = [set(labels[i]) for i in test]
-        pred = (predict(ovr.models, vectorize(counts[test], vocab), mode) if ovr.models
-                else [set() for _ in test])
+        pred = predict(ovr.models, vectorize(counts[test], vocab), mode)
         artifacts = {"vocabulary": vocab, "models": ovr.models,
                      "skipped_categories": ovr.skipped}
         return gold, pred, artifacts
@@ -279,13 +278,16 @@ def headline_scores(runs: dict[str, tuple[float, ...]]) -> tuple[float, float]:
     return row[2], row[3]
 
 
+METRICS_HEADER = "row\tname\tmicro_p\tmicro_r\tmicro_f\tmacro_f"
+
+
 def format_metrics_tsv(
     rows: list[tuple[str, tuple[float, ...]]],
     per_category: dict[str, tuple[float, float, float]],
 ) -> str:
     """Deterministic TSV: the run rows, then per-category precision,
     recall and F rows whose last cell is ``-``."""
-    lines = ["row\tname\tmicro_p\tmicro_r\tmicro_f\tmacro_f"]
+    lines = [METRICS_HEADER]
     lines += [_tsv_line("run", label, *values) for label, values in rows]
     lines += [_tsv_line("category", category, *per_category[category], "-")
               for category in sorted(per_category)]
@@ -302,9 +304,13 @@ def _score(cell: str) -> float:
 def parse_metrics_tsv(path: Path) -> dict[str, dict[str, tuple[float, ...]]]:
     """The run rows (four scores each) and category rows (precision,
     recall, F, then ``-``) of a metrics TSV. Every score must be a number
-    in [0, 1], and a ``mean`` or ``overall`` run row must be present."""
+    in [0, 1], line 1 must be the header ``format_metrics_tsv`` writes, and
+    a ``mean`` or ``overall`` run row must be present."""
     parsed: dict[str, dict[str, tuple[float, ...]]] = {"runs": {}, "categories": {}}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    if lines[0] != METRICS_HEADER:
+        raise ValueError(f"{path}:1: expected the header line {METRICS_HEADER!r}, "
+                         f"got {lines[0]!r}")
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -342,6 +348,9 @@ def improvement_table_from_files(
     optionally paired t-test columns over matching fold rows."""
     base = parse_metrics_tsv(baseline_path)["runs"]
     base_micro, base_macro = headline_scores(base)
+    if not (base_micro > 0 and base_macro > 0):
+        raise ValueError(f"{baseline_path}: a baseline's micro_f and macro_f must be "
+                         f"positive, got {base_micro} and {base_macro}")
     base_folds = _fold_scores(base)
     header = "run\tmicro_f\tmacro_f\tmicro_improvement\tmacro_improvement"
     if with_t_test:

@@ -1,7 +1,7 @@
 """Term counting, vocabulary fitting and L2-normalized TF-IDF vectorization.
 
-Original-text tokens are lowercased and stemmed here; enrichment-injected
-concept tokens are lowercased but kept unstemmed so multi-word concepts
+A document's words are lowercased and stemmed here; its enrichment-injected
+concept terms are lowercased but kept unstemmed so multi-word concepts
 like ``Kaiser_Permanente`` survive as single features.
 
 ``count_terms`` processes each document of a run once, into one CSR matrix
@@ -27,12 +27,6 @@ from .textproc import TaggedDocument
 _stem = lru_cache(maxsize=1 << 16)(porter_stem)
 
 
-@dataclass(frozen=True)
-class SparseVector:  # a hand-made row: train_binary_svm takes a list of them
-    indices: tuple[int, ...]  # strictly increasing
-    values: tuple[float, ...]
-
-
 @dataclass
 class Vocabulary:
     columns: np.ndarray  # count-matrix columns in the training rows, ascending
@@ -44,12 +38,9 @@ class Vocabulary:
 
 
 def document_terms(doc: TaggedDocument) -> list[str]:
-    """Processed feature terms of a represented (possibly enriched) document."""
-    terms = []
-    for token, _tag in doc.tokens:
-        lower = token.surface.lower()
-        terms.append(lower if token.injected else _stem(lower))
-    return terms
+    """Processed feature terms of a represented (possibly enriched) document:
+    its stemmed words, then its injected terms."""
+    return [_stem(w.lower()) for w in doc.tokens] + [t.lower() for t in doc.injected]
 
 
 def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:

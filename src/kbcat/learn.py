@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .features import SparseVector
-
 logger = logging.getLogger(__name__)
 
 _KKT_EPS = 1e-8
@@ -51,13 +49,6 @@ class LinearModel:
     rel_gap: float = math.nan
 
 
-def _to_csr(X: list[SparseVector], dim: int) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        ([v for x in X for v in x.values], [i for x in X for i in x.indices],
-         np.cumsum([0] + [len(x.indices) for x in X])),
-        shape=(len(X), dim))
-
-
 def _best_bias(f: np.ndarray, ya: np.ndarray) -> float:
     # hinge sum over b is piecewise linear with breakpoints y_i - f_i and
     # slope rising by one hinge per breakpoint; the minimum sits at the
@@ -73,13 +64,12 @@ def _primal(f: np.ndarray, ya: np.ndarray, b: float, wsq: float, c: float) -> fl
 
 
 def train_binary_svm(
-    X: sp.csr_matrix | list[SparseVector],
+    X: sp.csr_matrix,
     y: list[int],
     cfg: TrainConfig | None = None,
-    dim: int | None = None,
 ) -> LinearModel:
     """Train one binary classifier on the rows of ``X``; labels must be +1
-    or -1. ``dim`` is only read for a list of rows, as their width.
+    or -1.
 
     Single-class input degenerates to a zero weight vector with the class
     sign as bias (and a warning). Otherwise the returned model's primal
@@ -89,8 +79,6 @@ def train_binary_svm(
     model's ``certified`` and ``rel_gap`` record which of the two happened.
     """
     cfg = cfg or TrainConfig()
-    if isinstance(X, list):
-        X = _to_csr(X, dim)
     n, dim = X.shape
     if n == 0 or n != len(y):
         raise ValueError("X and y must be non-empty and the same length")

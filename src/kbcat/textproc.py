@@ -1,26 +1,24 @@
-"""Tokenization, stop-word removal, entity tagging, noun filtering, and the
+"""Word splitting, stop-word removal, entity tagging, noun filtering, and the
 four document representations (T1-T4) used ahead of enrichment.
 
-T1  tokens with stop words removed
-T2  raw tokens with entity tags (stop words kept)
+T1  words with stop words removed
+T2  all words with entity tags (stop words kept)
 T3  T1 reduced to nouns only
 T4  T3 with entity tags
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-logger = logging.getLogger(__name__)
-
-# Characters that terminate a token, besides whitespace. Underscore is a
-# delimiter here; enrichment-injected concept tokens keep their underscores
-# because they are appended directly and never pass through tokenize().
+# Characters that end a word, besides whitespace. Underscore is a
+# delimiter here; enrichment-injected concept terms keep their underscores
+# because they are kept apart from the words and never pass through
+# split_words().
 DELIMITER_CHARS = "{}[](),.;:!?\"'-/\\|<>@#$%^&*_=+~`"
 
 _SPLIT_RE = re.compile("[\\s" + re.escape(DELIMITER_CHARS) + "]+")
@@ -46,47 +44,23 @@ class EntityTag(Enum):
     NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    position: int
-    injected: bool = False  # True for enrichment-appended concept tokens
-
-
 @dataclass
 class TaggedDocument:
+    """A represented document: its words in text order with case preserved,
+    one entity tag per word, and the enrichment terms appended after them."""
+
     id: str
-    tokens: list[tuple[Token, EntityTag]]
+    tokens: list[str]
+    tags: list[EntityTag]
     labels: set[str]
     representation: Representation
-
-    def surfaces(self) -> list[str]:
-        return [tok.surface for tok, _ in self.tokens]
+    injected: list[str] = field(default_factory=list)
 
 
 def split_words(text: str) -> list[str]:
     """The non-empty pieces of text between runs of whitespace and
     delimiter characters."""
     return [p for p in _SPLIT_RE.split(text) if p]
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split text on whitespace and the delimiter set; positions run from 0."""
-    return [Token(surface=p, position=i) for i, p in enumerate(split_words(text))]
-
-
-def remove_stopwords(tokens: list[Token], stoplist: set[str]) -> list[Token]:
-    """Drop tokens whose lowercased surface is in the stoplist.
-
-    Order and original positions are preserved on the survivors.
-    """
-    return [t for t in tokens if t.surface.lower() not in stoplist]
-
-
-def _normalize_word(word: str) -> str:
-    """Canonical form for gazetteer matching: lowercase, delimiters stripped."""
-    stripped = "".join(ch for ch in word.lower() if ch not in DELIMITER_CHARS)
-    return stripped or word.lower()
 
 
 class Gazetteer:
@@ -100,7 +74,8 @@ class Gazetteer:
                 self.add(surface, kind)
 
     def add(self, surface: str, kind: EntityTag) -> None:
-        key = tuple(_normalize_word(w) for w in surface.split())
+        # the split the documents get, so "U.S." is keyed ("u", "s")
+        key = tuple(w.lower() for w in split_words(surface))
         if not key:
             return
         self._entries[key] = kind
@@ -133,47 +108,47 @@ class Gazetteer:
         return gaz
 
 
-def tag_entities(
-    tokens: list[Token], gaz: Gazetteer
-) -> list[tuple[Token, EntityTag]]:
-    """Greedy longest-match tagging of token n-grams against the gazetteer.
-
-    Every token in a matched span receives the span's tag; unmatched tokens
-    get EntityTag.NONE.
-    """
-    tagged: list[tuple[Token, EntityTag]] = []
-    norms = [_normalize_word(t.surface) for t in tokens]
+def tag_entities(words: list[str], gaz: Gazetteer) -> list[EntityTag]:
+    """Greedy longest-match tagging of word n-grams against the gazetteer:
+    one tag per word. Every word in a matched span receives the span's
+    tag; unmatched words get EntityTag.NONE."""
+    tags: list[EntityTag] = []
+    norms = [w.lower() for w in words]
     i = 0
-    n = len(tokens)
+    n = len(words)
     while i < n:
-        matched = False
         for span in range(min(gaz.max_words, n - i), 0, -1):
             kind = gaz.lookup(tuple(norms[i : i + span]))
             if kind is not None:
-                tagged.extend((tokens[i + j], kind) for j in range(span))
+                tags.extend([kind] * span)
                 i += span
-                matched = True
                 break
-        if not matched:
-            tagged.append((tokens[i], EntityTag.NONE))
+        else:
+            tags.append(EntityTag.NONE)
             i += 1
-    return tagged
+    return tags
 
 
-def is_noun(token: Token, lexicon: Mapping[str, bool]) -> bool:
+def is_noun(word: str, position: int, lexicon: Mapping[str, bool]) -> bool:
     """Lexicon verdict when present, else suffix heuristic, else
-    capitalized-mid-sentence rule."""
-    word = token.surface
+    capitalized-mid-sentence rule (``position`` counts every word of the
+    text from 0, stop words included)."""
     lower = word.lower()
     if lower in lexicon:
         return lexicon[lower]
     if any(lower.endswith(suf) for suf in NOUN_SUFFIXES):
         return True
-    return token.position > 0 and word[:1].isupper()
+    return position > 0 and word[:1].isupper()
 
 
-def filter_nouns(tokens: list[Token], lexicon: Mapping[str, bool]) -> list[Token]:
-    return [t for t in tokens if is_noun(t, lexicon)]
+def filter_nouns(words: list[str], lexicon: Mapping[str, bool]) -> list[str]:
+    """The nouns of a text's full word list; a word's index is its position."""
+    return [w for i, w in enumerate(words) if is_noun(w, i, lexicon)]
+
+
+def remove_stopwords(words: list[str], stoplist: set[str]) -> list[str]:
+    """Drop words whose lowercase form is in the stoplist; order is kept."""
+    return [w for w in words if w.lower() not in stoplist]
 
 
 @dataclass
@@ -188,30 +163,31 @@ class TextResources:
 def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocument:
     """Build the requested representation of a raw document.
 
-    Token case is preserved here; lowercasing (and stemming of original
+    Word case is preserved here; lowercasing (and stemming of original
     text) happens at feature extraction so that tagging can see
     capitalization.
     """
     text = "\n".join(part for part in (doc.title, doc.body) if part)
-    tokens = tokenize(text)
+    words = split_words(text)
 
+    if kind in (Representation.T3, Representation.T4):
+        # before stop-word removal, so a word's index is its position in the
+        # text; both filters are per word, so the order changes no result
+        words = filter_nouns(words, resources.nouns)
     if kind in (Representation.T1, Representation.T3, Representation.T4):
         if resources.stopwords is None:
             raise ResourceError(f"{kind.value} needs a stop-word list")
-        tokens = remove_stopwords(tokens, resources.stopwords)
-    if kind in (Representation.T3, Representation.T4):
-        tokens = filter_nouns(tokens, resources.nouns)
+        words = remove_stopwords(words, resources.stopwords)
 
     if kind in (Representation.T2, Representation.T4):
         if resources.gazetteer is None:
             raise ResourceError(f"{kind.value} needs a gazetteer")
-        tagged = tag_entities(tokens, resources.gazetteer)
+        tags = tag_entities(words, resources.gazetteer)
     else:
-        tagged = [(t, EntityTag.NONE) for t in tokens]
+        tags = [EntityTag.NONE] * len(words)
 
-    return TaggedDocument(
-        id=doc.id, tokens=tagged, labels=set(doc.labels), representation=kind
-    )
+    return TaggedDocument(id=doc.id, tokens=words, tags=tags,
+                          labels=set(doc.labels), representation=kind)
 
 
 def load_stoplist(path: str | Path) -> set[str]:

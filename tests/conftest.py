@@ -7,7 +7,7 @@ import pytest
 
 from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
 from kbcat.kbindex import KbIndex, KnowledgeRecord
-from kbcat.textproc import EntityTag, Gazetteer, Representation, TaggedDocument, Token
+from kbcat.textproc import EntityTag, Gazetteer, Representation, TaggedDocument
 
 # A 20-Newsgroups style post used as the golden representation fixture.
 SAMPLE_POST = (
@@ -119,12 +119,12 @@ def make_tagged(
     representation: Representation = Representation.T1,
     tags: list[EntityTag] | None = None,
 ) -> TaggedDocument:
-    """Build a TaggedDocument directly from token surfaces (bypassing
-    tokenize), the way enrichment receives already-tokenized text."""
-    tag_list = tags or [EntityTag.NONE] * len(surfaces)
+    """Build a TaggedDocument directly from its words (bypassing
+    split_words), the way enrichment receives already-split text."""
     return TaggedDocument(
         id=doc_id,
-        tokens=[(Token(s, i), t) for i, (s, t) in enumerate(zip(surfaces, tag_list))],
+        tokens=list(surfaces),
+        tags=tags or [EntityTag.NONE] * len(surfaces),
         labels=labels or set(),
         representation=representation,
     )

@@ -22,7 +22,6 @@ from kbcat.corpus import SplitHint, SubsetMode, load_reuters_dir, select_categor
 from kbcat.enrich import build_e2_query, filter_e4
 from kbcat.evaluation import accumulate, macro_f, micro_f, relative_improvement
 from kbcat.experiment import run_experiment
-from kbcat.features import SparseVector
 from kbcat.kbindex import KbIndex, serialize_query
 from kbcat.learn import TrainConfig, train_binary_svm
 from kbcat.porter import porter_stem
@@ -35,7 +34,7 @@ from oracles import (
 )
 from test_enrich import DRUG_STORY, EXPECTED_E2_QUERY
 from test_kbindex import _random_query, _random_record
-from test_learn import _dense, _fixture_battery
+from test_learn import _csr, _fixture_battery
 from test_porter import REFERENCE_PAIRS
 from test_textproc import EXPECTED_T1, EXPECTED_T3
 
@@ -93,12 +92,12 @@ def test_02_representation_golden_fixtures():
         nouns=SAMPLE_NOUNS,
     )
     t1 = represent(doc, Representation.T1, resources)
-    assert [s.lower() for s in t1.surfaces()] == EXPECTED_T1
+    assert [s.lower() for s in t1.tokens] == EXPECTED_T1
     t3 = represent(doc, Representation.T3, resources)
-    assert t3.surfaces() == EXPECTED_T3
+    assert t3.tokens == EXPECTED_T3
     t4 = represent(doc, Representation.T4, resources)
-    assert t4.surfaces() == EXPECTED_T3
-    tags = {t.surface: tag for t, tag in t4.tokens}
+    assert t4.tokens == EXPECTED_T3
+    tags = dict(zip(t4.tokens, t4.tags))
     assert tags["FBI"] is EntityTag.ORGANIZATION
     assert tags["America"] is EntityTag.LOCATION
     assert tags["Clayton"] is EntityTag.PERSON and tags["Cramer"] is EntityTag.PERSON
@@ -147,19 +146,18 @@ def test_05_metric_oracle_exhaustive():
 def test_06_svm_oracle_battery():
     start = time.perf_counter()
     # analytic fixture first
-    two = [SparseVector((0,), (2.0,)), SparseVector((0,), (-2.0,))]
-    model = train_binary_svm(two, [1, -1], TrainConfig(c=10.0), dim=1)
+    two = _csr([[2.0], [-2.0]])
+    model = train_binary_svm(two, [1, -1], TrainConfig(c=10.0))
     assert abs(model.weights[0] - 0.5) <= 1e-4
     assert abs(model.bias) <= 1e-4
 
     for idx, (X, y, c) in enumerate(_fixture_battery()):
-        dim = max(i for x in X for i in x.indices) + 1
         cfg = TrainConfig(c=c, tolerance=1e-6, max_epochs=2000)
-        trained = train_binary_svm(X, y, cfg, dim=dim)
+        trained = train_binary_svm(X, y, cfg)
         found = svm_primal_objective(
-            _dense(X, dim), np.array(y, float), trained.weights, trained.bias, c)
+            X.toarray(), np.array(y, float), trained.weights, trained.bias, c)
         _, _, oracle = svm_projected_gradient_oracle(
-            _dense(X, dim), np.array(y, float), c)
+            X.toarray(), np.array(y, float), c)
         assert abs(found - oracle) / oracle <= 1e-3, (idx, found, oracle)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"

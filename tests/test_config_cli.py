@@ -557,6 +557,7 @@ class TestCli:
         "malformed_dump_index_build",
         "malformed_dump_enrich_preview",
         "zero_f_baseline",
+        "metrics_without_header",
         "non_numeric_metrics_cell",
         "unknown_doc_id_enrich_preview",
         "runs_entry_without_equals",
@@ -601,6 +602,13 @@ class TestCli:
                     "--doc-id", "spam/000"]
         elif case == "zero_f_baseline":
             argv = report("zero", "good")
+            message = f"error: {tmp_path / 'zero.tsv'}: a baseline's micro_f and macro_f"
+        elif case == "metrics_without_header":
+            # without the header check its first row would be skipped unread
+            (tmp_path / "headless.tsv").write_text(metrics["good"], encoding="utf-8")
+            argv = report("good", "headless")
+            message = (f"error: {tmp_path / 'headless.tsv'}:1: expected the header "
+                       f"line {header.rstrip()!r}, got 'run\\tmean\\t0.5")
         elif case == "non_numeric_metrics_cell":
             argv = report("good", "text")
         elif case in self.BAD_METRICS:

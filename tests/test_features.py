@@ -4,6 +4,7 @@ import copy
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,17 +16,10 @@ from kbcat.features import (
     fit_vocabulary,
     vectorize,
 )
-from kbcat.textproc import EntityTag, Representation, TaggedDocument, Token
 
 
 def _tagged_with_injection(original: list[str], injected: list[str]):
-    tokens = [(Token(s, i), EntityTag.NONE) for i, s in enumerate(original)]
-    tokens += [
-        (Token(s, len(original) + i, injected=True), EntityTag.NONE)
-        for i, s in enumerate(injected)
-    ]
-    return TaggedDocument(id="d", tokens=tokens, labels=set(),
-                          representation=Representation.T1)
+    return replace(make_tagged(original), injected=injected)
 
 
 class TestDocumentTerms:
@@ -36,6 +30,10 @@ class TestDocumentTerms:
     def test_injected_tokens_lowercased_only(self):
         doc = _tagged_with_injection([], ["Kaiser_Permanente", "Connections"])
         assert document_terms(doc) == ["kaiser_permanente", "connections"]
+
+    def test_words_then_injected_terms(self):
+        doc = _tagged_with_injection(["Connections"], ["Connections"])
+        assert document_terms(doc) == ["connect", "connections"]
 
 
 def _df(docs) -> dict[str, int]:

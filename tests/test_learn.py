@@ -11,7 +11,6 @@ import pytest
 import scipy.sparse as sp
 
 from kbcat import learn
-from kbcat.features import SparseVector
 from kbcat.learn import (
     LinearModel,
     TrainConfig,
@@ -25,22 +24,8 @@ from kbcat.learn import (
 from oracles import svm_primal_objective, svm_projected_gradient_oracle
 
 
-def _sv(values: list[float]) -> SparseVector:
-    pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-    return SparseVector(indices=tuple(i for i, _ in pairs),
-                        values=tuple(v for _, v in pairs))
-
-
 def _csr(rows: list[list[float]]) -> sp.csr_matrix:
     return sp.csr_matrix(np.array(rows, dtype=np.float64))
-
-
-def _dense(X: list[SparseVector], dim: int) -> np.ndarray:
-    out = np.zeros((len(X), dim))
-    for row, x in zip(out, X):
-        for i, v in zip(x.indices, x.values):
-            row[i] = v
-    return out
 
 
 class TestAnalyticFixture:
@@ -54,16 +39,6 @@ class TestAnalyticFixture:
         # both margins are exactly 1
         values = decision_values({"m": model}, X)[:, 0]
         assert values == pytest.approx([1.0, -1.0], abs=1e-6)
-
-    def test_list_of_rows_trains_the_same_model(self):
-        X = [_sv([2.0, 0.0]), _sv([0.0, -1.0]), _sv([-2.0, 0.5])]
-        as_list = train_binary_svm(X, [1, -1, -1], TrainConfig(c=10.0), dim=3)
-        as_csr = train_binary_svm(_csr([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0],
-                                        [-2.0, 0.5, 0.0]]), [1, -1, -1],
-                                  TrainConfig(c=10.0))
-        assert as_list.weights.shape == (3,)
-        assert np.array_equal(as_list.weights, as_csr.weights)
-        assert as_list.bias == as_csr.bias
 
 
 class TestDegenerate:
@@ -87,9 +62,8 @@ def _fixture_battery():
     rng = random.Random(20260401)
     fixtures = []
     # hand fixtures
-    fixtures.append(([_sv([2.0]), _sv([-2.0])], [1, -1], 10.0))
-    fixtures.append(([_sv([1.0, 0.0]), _sv([0.0, 1.0]), _sv([-1.0, -1.0])],
-                     [1, 1, -1], 1.0))
+    fixtures.append((_csr([[2.0], [-2.0]]), [1, -1], 10.0))
+    fixtures.append((_csr([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), [1, 1, -1], 1.0))
     # random fixtures
     for trial in range(8):
         n = rng.randint(4, 25)
@@ -101,11 +75,11 @@ def _fixture_battery():
             label = rng.choice([1, -1])
             center = label * (1.5 if sep else 0.4)
             point = [center + rng.gauss(0, 1.0) for _ in range(d)]
-            X.append(_sv(point))
+            X.append(point)
             y.append(label)
         if len(set(y)) == 1:
             y[0] = -y[0]
-        fixtures.append((X, y, c))
+        fixtures.append((_csr(X), y, c))
     return fixtures
 
 
@@ -113,15 +87,14 @@ class TestOracleBattery:
     @pytest.mark.parametrize("idx", range(10))
     def test_objective_within_tolerance_of_oracle(self, idx):
         X, y, c = _fixture_battery()[idx]
-        dim = max(i for x in X for i in x.indices) + 1
         cfg = TrainConfig(c=c, tolerance=1e-6, max_epochs=2000)
-        model = train_binary_svm(X, y, cfg, dim=dim)
+        model = train_binary_svm(X, y, cfg)
         found = svm_primal_objective(
-            _dense(X, dim), np.array(y, float), model.weights, model.bias, c
+            X.toarray(), np.array(y, float), model.weights, model.bias, c
         )
         assert found == pytest.approx(model.objective, rel=1e-9, abs=1e-12)
         _, _, oracle_obj = svm_projected_gradient_oracle(
-            _dense(X, dim), np.array(y, float), c
+            X.toarray(), np.array(y, float), c
         )
         assert abs(found - oracle_obj) / oracle_obj <= 1e-3, (
             f"fixture {idx}: found {found}, oracle {oracle_obj}"
@@ -163,15 +136,14 @@ class TestOnDemandGramRows:
     def test_objective_within_tolerance_of_oracle(self, monkeypatch, idx):
         monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
         X, y, c = _fixture_battery()[idx]
-        dim = max(i for x in X for i in x.indices) + 1
         cfg = TrainConfig(c=c, tolerance=1e-6, max_epochs=2000)
-        model = train_binary_svm(X, y, cfg, dim=dim)
+        model = train_binary_svm(X, y, cfg)
         found = svm_primal_objective(
-            _dense(X, dim), np.array(y, float), model.weights, model.bias, c
+            X.toarray(), np.array(y, float), model.weights, model.bias, c
         )
         assert found == pytest.approx(model.objective, rel=1e-9, abs=1e-12)
         _, _, oracle_obj = svm_projected_gradient_oracle(
-            _dense(X, dim), np.array(y, float), c
+            X.toarray(), np.array(y, float), c
         )
         assert abs(found - oracle_obj) / oracle_obj <= 1e-3, (
             f"fixture {idx}: found {found}, oracle {oracle_obj}"
@@ -246,8 +218,6 @@ class TestTrainingProperties:
             train_binary_svm(_csr([[1.0], [2.0]]), [1])
         with pytest.raises(ValueError):
             train_binary_svm(_csr([[1.0]]), [2])
-        with pytest.raises(ValueError):
-            train_binary_svm([], [], dim=1)
 
 
 class TestOneVsRest:

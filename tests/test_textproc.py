@@ -1,4 +1,4 @@
-"""Tokenization, stop words, tagging, noun filtering, and the golden
+"""Word splitting, stop words, tagging, noun filtering, and the golden
 representation fixtures."""
 
 import random
@@ -19,75 +19,88 @@ from kbcat.textproc import (
     Representation,
     ResourceError,
     TextResources,
-    Token,
     filter_nouns,
+    is_noun,
     remove_stopwords,
     represent,
+    split_words,
     tag_entities,
-    tokenize,
 )
 
 
 class TestTokenize:
     def test_bang_path_splits_on_delimiters(self):
-        tokens = tokenize("{uunet,pyramid}!optilink!cramer")
-        assert [t.surface for t in tokens] == ["uunet", "pyramid", "optilink", "cramer"]
+        words = split_words("{uunet,pyramid}!optilink!cramer")
+        assert words == ["uunet", "pyramid", "optilink", "cramer"]
 
     def test_empty(self):
-        assert tokenize("") == []
+        assert split_words("") == []
 
     def test_trailing_delimiters(self):
-        assert [t.surface for t in tokenize("He, Reno,")] == ["He", "Reno"]
+        assert split_words("He, Reno,") == ["He", "Reno"]
 
     def test_positions_sequential(self):
-        tokens = tokenize("one two three")
-        assert [t.position for t in tokens] == [0, 1, 2]
+        # a word's position is its index in the split, counted from 0, so
+        # only the first word is sentence-initial
+        words = split_words("One, Two; Three")
+        assert [i for i, w in enumerate(words) if is_noun(w, i, {})] == [1, 2]
 
     def test_underscore_is_a_delimiter(self):
-        # enrichment tokens keep underscores only because they bypass tokenize
-        assert [t.surface for t in tokenize("a_b")] == ["a", "b"]
+        # injected concept terms keep underscores only because they are
+        # never split
+        assert split_words("a_b") == ["a", "b"]
 
 
 class TestRemoveStopwords:
     def test_case_insensitive(self):
-        tokens = tokenize("The boss")
-        out = remove_stopwords(tokens, {"the"})
-        assert [t.surface for t in out] == ["boss"]
+        assert remove_stopwords(split_words("The boss"), {"the"}) == ["boss"]
 
     def test_empty(self):
         assert remove_stopwords([], {"the"}) == []
 
     def test_positions_preserved(self):
-        tokens = tokenize("the quick the fox")
-        out = remove_stopwords(tokens, {"the"})
-        assert [(t.surface, t.position) for t in out] == [("quick", 1), ("fox", 3)]
+        # "Fox" keeps its place in the text after "the" is dropped, so the
+        # noun rule does not see it as sentence-initial
+        doc = RawDocument(id="d", title="", body="the Fox ran", labels={"c"})
+        res = TextResources(stopwords={"the"}, nouns={})
+        assert represent(doc, Representation.T1, res).tokens == ["Fox", "ran"]
+        assert represent(doc, Representation.T3, res).tokens == ["Fox"]
 
     def test_idempotent(self):
-        tokens = tokenize(SAMPLE_POST)
-        once = remove_stopwords(tokens, SAMPLE_STOPLIST)
+        words = split_words(SAMPLE_POST)
+        once = remove_stopwords(words, SAMPLE_STOPLIST)
         twice = remove_stopwords(once, SAMPLE_STOPLIST)
         assert once == twice
 
 
 class TestTagEntities:
     def test_single_word_entities(self, sample_gazetteer):
-        tokens = tokenize("Reno called the FBI from America")
-        tagged = dict((t.surface, tag) for t, tag in tag_entities(tokens, sample_gazetteer))
+        words = split_words("Reno called the FBI from America")
+        tagged = dict(zip(words, tag_entities(words, sample_gazetteer)))
         assert tagged["Reno"] is EntityTag.PERSON
         assert tagged["FBI"] is EntityTag.ORGANIZATION
         assert tagged["America"] is EntityTag.LOCATION
         assert tagged["called"] is EntityTag.NONE
 
     def test_multiword_longest_match(self, sample_gazetteer):
-        # surfaces carry the original punctuation; matching normalizes it
-        tokens = [Token("Clayton", 0), Token("E.", 1), Token("Cramer", 2)]
-        tagged = tag_entities(tokens, sample_gazetteer)
-        assert all(tag is EntityTag.PERSON for _, tag in tagged)
+        # "E." loses its period in the split, as the gazetteer entry does
+        tags = tag_entities(split_words("Clayton E. Cramer"), sample_gazetteer)
+        assert tags == [EntityTag.PERSON] * 3
 
     def test_empty_gazetteer(self):
-        tokens = tokenize("Reno FBI")
-        tagged = tag_entities(tokens, Gazetteer())
-        assert all(tag is EntityTag.NONE for _, tag in tagged)
+        assert tag_entities(["Reno", "FBI"], Gazetteer()) == [EntityTag.NONE] * 2
+
+    def test_entries_with_delimiters_match(self):
+        gaz = Gazetteer({"U.S.": EntityTag.LOCATION,
+                         "Coca-Cola": EntityTag.ORGANIZATION,
+                         "AT&T": EntityTag.ORGANIZATION})
+        words = split_words("The U.S. buys Coca-Cola from AT&T.")
+        assert dict(zip(words, tag_entities(words, gaz))) == {
+            "The": EntityTag.NONE, "U": EntityTag.LOCATION, "S": EntityTag.LOCATION,
+            "buys": EntityTag.NONE, "Coca": EntityTag.ORGANIZATION,
+            "Cola": EntityTag.ORGANIZATION, "from": EntityTag.NONE,
+            "AT": EntityTag.ORGANIZATION, "T": EntityTag.ORGANIZATION,
+        }
 
 
 class TestGazetteerLoad:
@@ -110,22 +123,20 @@ class TestGazetteerLoad:
 
 class TestFilterNouns:
     def test_keeps_lexicon_suffix_and_capitalized(self):
-        tokens = tokenize("said Reno boss reminder government quickly")
-        out = filter_nouns(tokens, {"boss": True})
-        assert [t.surface for t in out] == ["Reno", "boss", "reminder", "government"]
+        words = split_words("said Reno boss reminder government quickly")
+        out = filter_nouns(words, {"boss": True})
+        assert out == ["Reno", "boss", "reminder", "government"]
 
     def test_empty(self):
         assert filter_nouns([], {}) == []
 
     def test_lexicon_can_veto(self):
-        tokens = tokenize("running reminder")
-        assert [t.surface for t in filter_nouns(tokens, {"running": False})] == ["reminder"]
-        assert [t.surface for t in filter_nouns(tokens, {"reminder": False})] == []
+        words = ["running", "reminder"]
+        assert filter_nouns(words, {"running": False}) == ["reminder"]
+        assert filter_nouns(words, {"reminder": False}) == []
 
     def test_sentence_initial_capital_not_a_noun(self):
-        tokens = tokenize("Run Reno")
-        out = filter_nouns(tokens, {})
-        assert [t.surface for t in out] == ["Reno"]
+        assert filter_nouns(["Run", "Reno"], {}) == ["Reno"]
 
 
 def _resources() -> TextResources:
@@ -165,7 +176,7 @@ def _is_subsequence(needle: list[str], haystack: list[str]) -> bool:
 class TestRepresent:
     def test_t1_golden(self):
         doc = represent(_sample_doc(), Representation.T1, _resources())
-        lowered = [s.lower() for s in doc.surfaces()]
+        lowered = [s.lower() for s in doc.tokens]
         assert lowered == EXPECTED_T1
         assert lowered[:5] == ["reno", "fbi", "got", "wanted", "reminder"]
         # the reference transcription is a subsequence of the rule output
@@ -173,13 +184,12 @@ class TestRepresent:
                      "work government clayton cramer uunet pyramid optilink "
                      "cramer opinions").split()
         assert _is_subsequence(reference, lowered)
-        assert all(tag is EntityTag.NONE for _, tag in doc.tokens)
+        assert doc.tags == [EntityTag.NONE] * len(doc.tokens)
 
     def test_t2_keeps_stopwords_and_tags(self):
         doc = represent(_sample_doc(), Representation.T2, _resources())
-        surfaces = doc.surfaces()
-        assert "Why" in surfaces and "the" in surfaces  # stop words retained
-        tags = {t.surface: tag for t, tag in doc.tokens}
+        assert "Why" in doc.tokens and "the" in doc.tokens  # stop words retained
+        tags = dict(zip(doc.tokens, doc.tags))
         assert tags["Reno"] is EntityTag.PERSON
         assert tags["FBI"] is EntityTag.ORGANIZATION
         assert tags["America"] is EntityTag.LOCATION
@@ -188,7 +198,7 @@ class TestRepresent:
 
     def test_t3_golden(self):
         doc = represent(_sample_doc(), Representation.T3, _resources())
-        surfaces = doc.surfaces()
+        surfaces = doc.tokens
         assert surfaces == EXPECTED_T3
         assert surfaces[:3] == ["Reno", "FBI", "reminder"]
         assert surfaces[-2:] == ["opinions", "mine"]
@@ -198,8 +208,8 @@ class TestRepresent:
 
     def test_t4_golden_tags(self):
         doc = represent(_sample_doc(), Representation.T4, _resources())
-        assert doc.surfaces() == EXPECTED_T3
-        tags = {t.surface: tag for t, tag in doc.tokens}
+        assert doc.tokens == EXPECTED_T3
+        tags = dict(zip(doc.tokens, doc.tags))
         assert tags["FBI"] is EntityTag.ORGANIZATION
         assert tags["America"] is EntityTag.LOCATION
         assert tags["Clayton"] is EntityTag.PERSON
@@ -207,18 +217,20 @@ class TestRepresent:
 
     def test_t3_subsequence_of_t1(self):
         res = _resources()
-        t1 = represent(_sample_doc(), Representation.T1, res).surfaces()
-        t3 = represent(_sample_doc(), Representation.T3, res).surfaces()
+        t1 = represent(_sample_doc(), Representation.T1, res).tokens
+        t3 = represent(_sample_doc(), Representation.T3, res).tokens
         assert _is_subsequence(t3, t1)
 
     def test_t4_tags_subset_of_t2(self):
         res = _resources()
-        t2 = {(t.surface, t.position): tag
-              for t, tag in represent(_sample_doc(), Representation.T2, res).tokens}
-        t4 = represent(_sample_doc(), Representation.T4, res).tokens
-        for token, tag in t4:
+        t2 = represent(_sample_doc(), Representation.T2, res)  # every word, tagged
+        kept = [i for i, w in enumerate(t2.tokens)
+                if w.lower() not in res.stopwords and is_noun(w, i, res.nouns)]
+        t4 = represent(_sample_doc(), Representation.T4, res)
+        assert t4.tokens == [t2.tokens[i] for i in kept]
+        for i, tag in zip(kept, t4.tags):
             if tag is not EntityTag.NONE:
-                assert t2[(token.surface, token.position)] is tag
+                assert t2.tags[i] is tag
 
     def test_missing_resource_errors(self):
         with pytest.raises(ResourceError):
@@ -233,6 +245,23 @@ class TestRepresent:
         for _ in range(50):
             text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 30)))
             doc = RawDocument(id="r", title="", body=text, labels={"c"})
-            tagged = represent(doc, Representation.T3, _resources())
-            positions = [t.position for t, _ in tagged.tokens]
-            assert positions == sorted(positions)
+            for kind in Representation:
+                tagged = represent(doc, kind, _resources())
+                assert _is_subsequence(tagged.tokens, split_words(text))
+                assert len(tagged.tags) == len(tagged.tokens)
+
+    @pytest.mark.parametrize("kind", [Representation.T3, Representation.T4])
+    def test_nouns_filtered_before_stop_words_match_per_word_rule(self, kind):
+        # T3/T4 filter nouns on the full word list and then drop stop
+        # words; the two per-word filters commute, so the result is the
+        # one-pass rule over (index, word)
+        rng = random.Random(11)
+        pool = ["The", "the", "Boss", "boss", "of", "Of", "Reno", "reminder",
+                "running", "quickly", "America", "x1", "He", "thugs", "映"]
+        res = _resources()
+        for _ in range(200):
+            words = [rng.choice(pool) for _ in range(rng.randint(0, 25))]
+            doc = RawDocument(id="r", title="", body=" ".join(words), labels={"c"})
+            expected = [w for i, w in enumerate(words)
+                        if w.lower() not in res.stopwords and is_noun(w, i, res.nouns)]
+            assert represent(doc, kind, res).tokens == expected
