@@ -13,31 +13,41 @@ factor. Only contents and wikiTitle clauses contribute scored terms;
 clauses on the remaining fields act as match-only filters that feed the
 coordination factor.
 
-Each field's postings are built the first time a query touches the field,
-so an index whose queries use only contents and types never tokenizes the
-titles, redirects, categories or linked concepts of its records.
+Records get ids in sorted-title order. Each field's postings are built
+the first time a query touches the field, so an index whose queries use
+only contents and types never tokenizes the titles, redirects, categories
+or linked concepts of its records. A built field is a term -> row dict and
+CSR arrays (Zobel & Moffat 2006): the int32 ids of the records holding a
+row's term, ascending, with their int32 term counts, plus an int32 token
+count per record; one int64 array holds every record's page rank.
 
-Queries are evaluated term at a time: the candidates are the records in
-the postings of the positive term clauses, and each positive clause adds
-its score mass and one coordination count to every candidate it matches.
-The clauses are walked in query order, repeated ones included (a repeat
-reuses the clause's masses but is added again, never multiplied), so every
-record's score is the same sum in the same order as a clause-by-clause
-evaluation of that record alone: scores are bit-identical to it, and ties
-between records that differ only in the last bit break the same way. The
-scores of the last query are kept, so ``score`` on its records one by one
-is a lookup; search filters the candidates once per MUST and MUST_NOT
-clause and ranks the rest by ``score``.
+Queries are evaluated term at a time (Turtle & Flood 1995): the candidates
+are the records in the postings of the positive term clauses, and each
+positive clause adds its score mass and one coordination count to every
+record it matches. The clauses are walked in query order, repeated ones
+included (a repeat reuses the clause's postings but is added again, never
+multiplied), so every record's score is the same sum in the same order as
+a clause-by-clause evaluation of that record alone: scores are
+bit-identical to it, and ties between records that differ only in the last
+bit break the same way. MUST and MUST_NOT clauses filter the candidates,
+which rank by score and then by title. The scores of the last query are
+kept, so ``score`` on its records one by one is a lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .textproc import DELIMITER_CHARS, split_words
 
@@ -142,16 +152,63 @@ def _field_terms(record: KnowledgeRecord, name: FieldName) -> list[str]:
     return terms
 
 
-# one field's postings (term -> {title: tf}) and token count per title
-_FieldIndex = tuple[dict[str, dict[str, int]], dict[str, int]]
+class _Field(NamedTuple):
+    """One field's postings: the records holding the term of row r are
+    ``ids[starts[r]:starts[r + 1]]`` (ascending), each with its term count
+    in ``tfs``; ``lengths`` is every record's token count in the field."""
+
+    rows: dict[str, int]
+    starts: np.ndarray
+    ids: np.ndarray
+    tfs: np.ndarray
+    lengths: np.ndarray
+
+
+class _Postings(NamedTuple):
+    """What a term clause adds to the records it matches (see
+    ``KbIndex._postings``)."""
+
+    ids: np.ndarray
+    tfs: np.ndarray
+    lengths: np.ndarray
+    idf: float
+
+
+_NO_POSTINGS = _Postings(*[np.zeros(0, dtype=np.int32)] * 3, 0.0)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _rank_matches(body: Term | RangeBody, ranks: np.ndarray) -> np.ndarray:
+    """Which of the page ranks a range, or a ``pageRank:<digits>`` term,
+    matches."""
+    if isinstance(body, RangeBody):
+        lo, hi = body.lo, body.hi
+    else:
+        term = normalize_term(body.text)
+        # isdecimal, not int()'s own check: int() accepts "1_0" as 10; past
+        # 19 significant digits a term is beyond int64 (and int() refuses
+        # strings of over 4,300 digits)
+        if not term.isdecimal() or len(term.lstrip("0")) > 19:
+            return np.zeros(len(ranks), dtype=bool)
+        lo = hi = int(term)
+    # the bounds are clipped to int64 as Python ints, so a bound past int64
+    # neither overflows nor rounds on any numpy version
+    if lo > hi or lo > _INT64_MAX or hi < _INT64_MIN:
+        return np.zeros(len(ranks), dtype=bool)
+    return (ranks >= max(lo, _INT64_MIN)) & (ranks <= min(hi, _INT64_MAX))
 
 
 class KbIndex:
-    """Records by title, and each field's postings built on first use (see
-    ``_field``), so the records must not change after construction. Every
-    built field and the memo of the last query's scores are stored whole,
-    so concurrent searches need no locking: two threads may build the same
-    field at once, and the second stores a result equal to the first."""
+    """Records by title; record ids follow sorted-title order. Each field's
+    postings are built on first use (see ``_field``), so the records must
+    not change after construction: per field a term -> row dict, CSR
+    postings of int32 record ids and int32 term counts, and an int32
+    token count per record; one int64 page-rank array covers all records.
+
+    The sorted titles with the rank array, every built field and the last
+    query's scores are each stored whole, so concurrent searches need no
+    locking: two threads may build the same arrays at once, and the second
+    stores a result equal to the first."""
 
     def __init__(self, records: list[KnowledgeRecord]) -> None:
         self._records: dict[str, KnowledgeRecord] = {}
@@ -159,8 +216,9 @@ class KbIndex:
             if record.title in self._records:
                 raise DuplicateTitleError(f"duplicate record title: {record.title!r}")
             self._records[record.title] = record
-        self._fields: dict[FieldName, _FieldIndex] = {}
-        self._last_scores: tuple[list[QueryClause], dict[str, float]] = ([], {})
+        self._order: tuple[list[str], np.ndarray] | None = None
+        self._fields: dict[FieldName, _Field] = {}
+        self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -172,89 +230,132 @@ class KbIndex:
     def get_record(self, title: str) -> KnowledgeRecord | None:
         return self._records.get(title)
 
-    def _field(self, fname: FieldName) -> _FieldIndex:
+    def _sorted(self) -> tuple[list[str], np.ndarray]:
+        """The titles in record-id order and the page rank of each record,
+        built with the first field or query and stored whole."""
+        order = self._order
+        if order is None:
+            titles = sorted(self._records)
+            ranks = np.array([self._records[t].page_rank for t in titles], dtype=np.int64)
+            order = self._order = (titles, ranks)
+        return order
+
+    def _field(self, fname: FieldName) -> _Field:
         """The field's postings and token counts, built the first time a
-        query touches the field and stored whole."""
+        query touches the field and stored whole.
+
+        One pass turns each record's terms into term ids, laid end to end
+        in record order. One in-place sort of the keys term * N + record id
+        then groups the tokens by term with record ids ascending: a run of
+        equal keys is one posting and its length the tf. Each step frees
+        what it no longer needs, so the build peaks at about 20 B a token
+        (np.unique would copy the keys and make three more index arrays)."""
         built = self._fields.get(fname)
         if built is None:
-            postings: dict[str, dict[str, int]] = {}
-            field_len: dict[str, int] = {}
-            for title, record in self._records.items():
-                terms = _field_terms(record, fname)
-                field_len[title] = len(terms)
-                for term, tf in Counter(terms).items():
-                    postings.setdefault(term, {})[title] = tf
-            built = self._fields[fname] = (postings, field_len)
+            titles, _ = self._sorted()
+            # a new term gets the next row
+            rows: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+            term_ids = array("i")
+            lengths = array("i")
+            for title in titles:
+                terms = _field_terms(self._records[title], fname)
+                lengths.append(len(terms))
+                term_ids.extend(map(rows.__getitem__, terms))
+            n = max(len(titles), 1)  # no tokens when there are no records
+            lengths_np = np.array(lengths, dtype=np.int32)
+            keys = np.array(term_ids, dtype=np.int64)
+            del term_ids
+            keys *= n
+            keys += np.repeat(np.arange(len(titles), dtype=np.int32), lengths_np)
+            keys.sort()
+            n_tokens = len(keys)
+            run_start = np.ones(n_tokens, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+            keys = keys[run_start]
+            first = np.flatnonzero(run_start)
+            del run_start
+            tfs = np.empty(len(first), dtype=np.int32)
+            np.subtract(first[1:], first[:-1], out=tfs[:-1], casting="unsafe")
+            tfs[-1:] = n_tokens - first[-1:]
+            del first
+            ids = np.empty(len(keys), dtype=np.int32)
+            np.remainder(keys, n, out=ids, casting="unsafe")
+            keys //= n
+            starts = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys, minlength=len(rows)), out=starts[1:])
+            built = self._fields[fname] = _Field(dict(rows), starts, ids, tfs, lengths_np)
         return built
 
-    def _clause_matches(self, clause: QueryClause, title: str) -> bool:
-        if isinstance(clause.body, RangeBody):
-            return clause.body.lo <= self._records[title].page_rank <= clause.body.hi
-        term = normalize_term(clause.body.text)
-        if clause.field is FieldName.PAGE_RANK:
-            # isdecimal, not int()'s own check: int() accepts "1_0" as 10
-            return term.isdecimal() and self._records[title].page_rank == int(term)
-        return title in self._field(clause.field)[0].get(term, ())
+    def _postings(self, clause: QueryClause) -> _Postings:
+        """The postings of a field term clause: the ids of the records it
+        matches, with each one's tf and field token count, and the term's
+        idf = 1 + ln(N / (df + 1)), or 0.0 on a match-only field, whose
+        clauses add no score mass."""
+        field = self._field(clause.field)
+        row = field.rows.get(normalize_term(clause.body.text))
+        if row is None:
+            return _NO_POSTINGS
+        span = slice(field.starts[row], field.starts[row + 1])
+        ids = field.ids[span]
+        # math.log, not np.log, which is not correctly rounded everywhere
+        idf = (1.0 + math.log(len(self._records) / (len(ids) + 1))
+               if clause.field in SCORED_FIELDS else 0.0)
+        return _Postings(ids, field.tfs[span], field.lengths[ids], idf)
 
-    def _clause_mass(self, clause: QueryClause, candidates: set[str]) -> dict[str, float]:
-        """Score mass the clause adds to each candidate it matches:
-        sqrt(tf) * idf^2 * fieldNorm for a scored term clause, with
-        idf = 1 + ln(N / (df + 1)) and fieldNorm = 1 / sqrt(field token
-        count); 0.0 for a match-only clause."""
-        if isinstance(clause.body, Term) and clause.field is not FieldName.PAGE_RANK:
-            postings, field_len = self._field(clause.field)
-            by_title = postings.get(normalize_term(clause.body.text), {})
-            if not by_title or clause.field not in SCORED_FIELDS:
-                return dict.fromkeys(by_title, 0.0)
-            idf = 1.0 + math.log(len(self._records) / (len(by_title) + 1))
-            return {
-                title: math.sqrt(tf) * idf * idf * (1.0 / math.sqrt(field_len[title]))
-                for title, tf in by_title.items()
-            }
-        return {title: 0.0 for title in candidates if self._clause_matches(clause, title)}
-
-    def _query_scores(self, query: FieldedQuery) -> dict[str, float]:
-        """Score of every record matching a positive term clause, evaluated
-        term at a time (see the module docstring) and kept for the last
-        query."""
-        last_clauses, scores = self._last_scores
-        if last_clauses == query.clauses:
-            return scores
+    def _query_scores(self, query: FieldedQuery) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the records matching a positive term clause, and every
+        record's score (0.0 off those ids), evaluated term at a time (see
+        the module docstring) and kept for the last query."""
+        last = self._last_scores
+        if last is not None and last[0] == query.clauses:
+            return last[1], last[2]
+        _, ranks = self._sorted()
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
-        candidates: set[str] = set()
+        rank_matched = np.zeros(len(ranks), dtype=np.int64)
+        rank_candidate = np.zeros(len(ranks), dtype=bool)
+        postings: dict[tuple[FieldName, Term], _Postings] = {}
+        walk = [_NO_POSTINGS]  # never empty, for np.concatenate
         for clause in positive:
-            if not isinstance(clause.body, Term):
+            if isinstance(clause.body, RangeBody) or clause.field is FieldName.PAGE_RANK:
+                hit = _rank_matches(clause.body, ranks)
+                rank_matched += hit
+                if isinstance(clause.body, Term):
+                    rank_candidate |= hit
                 continue
-            if clause.field is FieldName.PAGE_RANK:
-                candidates.update(
-                    t for t in self._records if self._clause_matches(clause, t)
-                )
-                continue
-            term = normalize_term(clause.body.text)
-            candidates.update(self._field(clause.field)[0].get(term, ()))
-        totals = dict.fromkeys(candidates, 0.0)
-        matched = dict.fromkeys(candidates, 0)
-        masses: dict[tuple[FieldName, Term | RangeBody], dict[str, float]] = {}
-        for clause in positive:
             key = (clause.field, clause.body)
-            mass = masses.get(key)
-            if mass is None:
-                mass = masses[key] = self._clause_mass(clause, candidates)
-            for title, value in mass.items():
-                totals[title] += value
-                matched[title] += 1
-        scores = {t: (matched[t] / len(positive)) * totals[t] for t in candidates}
-        self._last_scores = (list(query.clauses), scores)
-        return scores
+            if key not in postings:
+                postings[key] = self._postings(clause)
+            walk.append(postings[key])
+        # every positive term clause's postings in query order, repeats
+        # included, with the score mass sqrt(tf) * idf^2 * fieldNorm of each
+        # and fieldNorm = 1 / sqrt(field token count)
+        ids = np.concatenate([p.ids for p in walk])
+        idf = np.repeat([p.idf for p in walk], [len(p.ids) for p in walk])
+        mass = (np.sqrt(np.concatenate([p.tfs for p in walk])) * idf * idf
+                * (1.0 / np.sqrt(np.concatenate([p.lengths for p in walk]))))
+        # bincount adds the weights in input order, so each record's total is
+        # its clause masses summed in clause order, as a clause-by-clause
+        # evaluation of that record adds them
+        totals = np.bincount(ids, weights=mass, minlength=len(ranks))
+        term_matched = np.bincount(ids, minlength=len(ranks))
+        candidates = np.flatnonzero((term_matched > 0) | rank_candidate)
+        scores = np.zeros(len(ranks))
+        if len(candidates):
+            matched = term_matched[candidates] + rank_matched[candidates]
+            scores[candidates] = (matched / len(positive)) * totals[candidates]
+        self._last_scores = (list(query.clauses), candidates, scores)
+        return candidates, scores
 
     def score(self, query: FieldedQuery, title: str) -> float:
         """Practical scoring of one record against the query: the
         coordination factor (matched positive clauses / positive clauses)
         times the summed mass of its matching scored term clauses. A record
         that matches no positive term clause scores 0.0."""
-        if title not in self._records:
+        titles, _ = self._sorted()
+        i = bisect_left(titles, title)
+        if i == len(titles) or titles[i] != title:
             raise KeyError(title)
-        return self._query_scores(query).get(title, 0.0)
+        return float(self._query_scores(query)[1][i])
 
     def search(self, query: FieldedQuery, n: int) -> list[SearchHit]:
         """Top-n records by score; ties broken by title.
@@ -265,18 +366,24 @@ class KbIndex:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        candidates = set(self._query_scores(query))
+        titles, ranks = self._sorted()
+        candidates, _ = self._query_scores(query)
+        keep = np.ones(len(candidates), dtype=bool)
         for clause in query.clauses:
-            if clause.occur is not Occur.SHOULD:
-                keep = clause.occur is Occur.MUST
-                candidates = {
-                    t for t in candidates if self._clause_matches(clause, t) == keep
-                }
+            if clause.occur is Occur.SHOULD:
+                continue
+            if isinstance(clause.body, RangeBody) or clause.field is FieldName.PAGE_RANK:
+                hit = _rank_matches(clause.body, ranks[candidates])
+            else:
+                hit = np.isin(candidates, self._postings(clause).ids, assume_unique=True)
+            keep &= hit if clause.occur is Occur.MUST else ~hit
+        ids = candidates[keep]
         # each hit's score is score()'s, one call per candidate scored (the
-        # call bench/layertrace.py counts); the query's scores are memoized
-        hits = [SearchHit(t, self.score(query, t)) for t in candidates]
-        hits.sort(key=lambda h: (-h.score, h.record_title))
-        return hits[:n]
+        # call bench/layertrace.py counts); the query's scores are kept
+        scores = np.array([self.score(query, titles[i]) for i in ids], dtype=np.float64)
+        # ids follow title order, so equal scores rank by title
+        return [SearchHit(titles[ids[j]], float(scores[j]))
+                for j in np.lexsort((ids, -scores))[:n]]
 
 
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s+TO\s+(-?\d+)\s*\]$")
@@ -373,9 +480,15 @@ def load_kb_dump(path: str | Path) -> list[KnowledgeRecord]:
             # "+5" and " 5"
             if not rank.removeprefix("-").isdecimal():
                 raise ValueError(f"{path}:{lineno}: bad page rank {rank!r}")
-            page_rank = int(rank)
+            try:
+                page_rank = int(rank)
+            except ValueError:  # int() refuses strings of over 4,300 digits
+                page_rank = _INT64_MAX + 1
             if page_rank < 0:
                 raise ValueError(f"{path}:{lineno}: negative page rank {page_rank}")
+            if page_rank > _INT64_MAX:  # ranks are int64 in the index
+                raise ValueError(
+                    f"{path}:{lineno}: page rank {rank} is out of range 0..2**63-1")
             split = lambda s: [item for item in s.split("|") if item]
             records.append(KnowledgeRecord(
                 title=title,
@@ -388,20 +501,3 @@ def load_kb_dump(path: str | Path) -> list[KnowledgeRecord]:
             ))
     return records
 
-
-def save_kb_dump(records: list[KnowledgeRecord], path: str | Path) -> None:
-    def join(items: list[str]) -> str:
-        for item in items:
-            if "|" in item:
-                raise ValueError(f"'|' not allowed inside list item: {item!r}")
-        return "|".join(items)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            row = [r.title, str(r.page_rank), join(r.redirects),
-                   join(r.entity_types), join(r.categories),
-                   join(r.linked_concepts), r.contents]
-            for cell in row:
-                if "\t" in cell or "\n" in cell:
-                    raise ValueError(f"TAB/newline not allowed in field: {cell!r}")
-            fh.write("\t".join(row) + "\n")

@@ -9,7 +9,6 @@ T4  T3 with entity tags
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -21,7 +20,9 @@ from typing import Mapping
 # split_words().
 DELIMITER_CHARS = "{}[](),.;:!?\"'-/\\|<>@#$%^&*_=+~`"
 
-_SPLIT_RE = re.compile("[\\s" + re.escape(DELIMITER_CHARS) + "]+")
+# each delimiter becomes a space, and str.split() splits at runs of
+# whitespace (str.isspace)
+_DELIMITERS_TO_SPACE = str.maketrans(dict.fromkeys(DELIMITER_CHARS, " "))
 
 NOUN_SUFFIXES = ("tion", "ment", "ness", "ity", "er", "or", "ism")
 
@@ -60,7 +61,7 @@ class TaggedDocument:
 def split_words(text: str) -> list[str]:
     """The non-empty pieces of text between runs of whitespace and
     delimiter characters."""
-    return [p for p in _SPLIT_RE.split(text) if p]
+    return text.translate(_DELIMITERS_TO_SPACE).split()
 
 
 class Gazetteer:

@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 
 from kbcat.corpus import RawDocument
-from kbcat.kbindex import KnowledgeRecord, save_kb_dump
+from kbcat.kbindex import KnowledgeRecord
 
 CLASSES = ("alpha", "beta", "gamma", "delta")
 PAIR = {"alpha": "beta", "beta": "alpha", "gamma": "delta", "delta": "gamma"}
@@ -169,7 +169,22 @@ def write_corpus_tree(docs: list[RawDocument], root: Path) -> None:
 
 
 def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
-    save_kb_dump(records, path)
+    """Write the TAB-separated dump ``kbindex.load_kb_dump`` reads."""
+    def join(items: list[str]) -> str:
+        for item in items:
+            if "|" in item:
+                raise ValueError(f"'|' not allowed inside list item: {item!r}")
+        return "|".join(items)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            row = [r.title, str(r.page_rank), join(r.redirects),
+                   join(r.entity_types), join(r.categories),
+                   join(r.linked_concepts), r.contents]
+            for cell in row:
+                if "\t" in cell or "\n" in cell:
+                    raise ValueError(f"TAB/newline not allowed in field: {cell!r}")
+            fh.write("\t".join(row) + "\n")
 
 
 def write_reuters_sgml(docs: list[RawDocument], path: Path) -> None:

@@ -1,5 +1,7 @@
 """Index construction, query parsing, scoring, search, and dump I/O."""
 
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -22,21 +24,37 @@ from kbcat.kbindex import (
     Term,
     load_kb_dump,
     parse_query,
-    save_kb_dump,
     serialize_query,
 )
 from kbcat.textproc import EntityTag
 from oracles import _record_field_terms, brute_force_search
-from synth import build_kb
+from synth import build_kb, write_kb_dump
 
 INDEXED_FIELDS = [f for f in FieldName if f is not FieldName.PAGE_RANK]
+
+
+def field_as_dicts(index: KbIndex, fname: FieldName
+                   ) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    """The field's postings as {term: {title: tf}} and its token counts as
+    {title: length}, rebuilt from the index's arrays."""
+    field = index._field(fname)
+    titles = sorted(index.titles)
+    postings = {}
+    for term, row in field.rows.items():
+        span = slice(field.starts[row], field.starts[row + 1])
+        postings[term] = {titles[i]: int(tf)
+                          for i, tf in zip(field.ids[span], field.tfs[span])}
+    return postings, dict(zip(titles, field.lengths.tolist()))
 
 
 class TestBuildIndex:
     def test_empty_index(self):
         index = KbIndex([])
         assert len(index) == 0
-        assert index.search(parse_query("contents:x"), 5) == []
+        for text in ["contents:x", "wikiTitle:x types:y +categories:z",
+                     "pageRank:0 contents:x -pageRank:[1 TO 5]",
+                     "+pageRank:[0 TO 9] contents:x"]:
+            assert index.search(parse_query(text), 5) == [], text
 
     def test_entity_type_normalization(self, kb_sample):
         index = KbIndex(kb_sample)
@@ -51,7 +69,7 @@ class TestBuildIndex:
 
     def test_term_frequencies(self):
         index = KbIndex([KnowledgeRecord(title="r", contents="drug drug heart")])
-        postings, field_len = index._field(FieldName.CONTENTS)
+        postings, field_len = field_as_dicts(index, FieldName.CONTENTS)
         assert postings == {"drug": {"r": 2}, "heart": {"r": 1}}
         assert field_len == {"r": 3}
 
@@ -100,7 +118,7 @@ class TestLazyFields:
                 term: {title: c[term] for title, c in counts.items() if term in c}
                 for term in vocabulary
             }
-            postings, field_len = index._field(fname)
+            postings, field_len = field_as_dicts(index, fname)
             assert postings == expected, fname
             assert field_len == {title: c.total() for title, c in counts.items()}, fname
 
@@ -280,6 +298,39 @@ class TestSearch:
         assert [h.record_title for h in hits] == [t for t, _ in expected]
         for hit, (_, score) in zip(hits, expected):
             assert hit.score == pytest.approx(score, rel=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        "contents:x pageRank:9223372036854775807",
+        "contents:x pageRank:00009223372036854775807",
+        "contents:x +pageRank:9223372036854775808",
+        "contents:x pageRank:9007199254740992",
+        "contents:x +pageRank:9007199254740993",
+        "contents:x -pageRank:[1 TO 99999999999999999999999]",
+        "contents:x +pageRank:[-99999999999999999999 TO 0]",
+        "contents:x +pageRank:[9223372036854775807 TO 9223372036854775808]",
+        "contents:x +pageRank:[9223372036854775808 TO 99999999999999999999]",
+        "contents:x +pageRank:[9007199254740992 TO 9007199254740992]",
+        "contents:x -pageRank:[-99999999999999999999 TO -9223372036854775809]",
+    ])
+    def test_pagerank_bounds_past_int64_compare_exactly(self, text):
+        # 2**63 - 1 and 2**53 + 1 round to other values as floats, and
+        # 2**63 does not fit int64
+        records = [
+            KnowledgeRecord(title="zero", contents="x", page_rank=0),
+            KnowledgeRecord(title="mid", contents="x", page_rank=2**53 + 1),
+            KnowledgeRecord(title="max", contents="x", page_rank=2**63 - 1),
+        ]
+        query = parse_query(text)
+        hits = KbIndex(records).search(query, 5)
+        expected = brute_force_search(records, query, 5)
+        assert [(h.record_title, h.score) for h in hits] == expected
+
+    def test_pagerank_term_of_thousands_of_digits_matches_nothing(self):
+        # int() refuses to read a string of over 4,300 digits
+        index = KbIndex([KnowledgeRecord(title="r", contents="x", page_rank=1)])
+        assert index.search(parse_query("pageRank:" + "1" * 5000), 5) == []
+        hits = index.search(parse_query("contents:x -pageRank:" + "1" * 5000), 5)
+        assert [h.record_title for h in hits] == ["r"]
 
     def test_three_record_ranking_matches_brute_force(self):
         records = [
@@ -548,6 +599,80 @@ class TestBitExactScores:
             assert hit.score == index.score(query, hit.record_title)
 
 
+_ZIPF_WORDS = [f"w{i:04d}" for i in range(3000)]
+_ZIPF_CUM = list(itertools.accumulate(1.0 / (i + 1) for i in range(len(_ZIPF_WORDS))))
+_ZIPF_KINDS = ["freebase:person", "freebase:location", "freebase:organization"]
+
+
+def _zipf_words(rng: random.Random, k: int) -> list[str]:
+    return rng.choices(_ZIPF_WORDS, cum_weights=_ZIPF_CUM, k=k)
+
+
+def _zipf_kb(rng: random.Random, n: int) -> list[KnowledgeRecord]:
+    """Records whose contents and titles draw Zipf(1) words, so posting
+    lists range from one record to most of the KB."""
+    return [
+        KnowledgeRecord(
+            title=f"{' '.join(_zipf_words(rng, rng.randint(1, 3)))} {i}",
+            entity_types=[f"Freebase: {kind.split(':')[1]}"
+                          for kind in rng.sample(_ZIPF_KINDS, k=rng.randint(0, 2))],
+            categories=[" ".join(_zipf_words(rng, 2))] if rng.random() < 0.5 else [],
+            contents=" ".join(_zipf_words(rng, rng.randint(0, 60))),
+            page_rank=rng.randint(0, 12),
+        )
+        for i in range(n)
+    ]
+
+
+def _zipf_query(rng: random.Random) -> FieldedQuery:
+    """E1, E2 or E3 shaped: repeated SHOULD contents clauses, then for E2/E3
+    an optional wikiTitle clause, E3's types clauses and the MUST_NOT
+    page-rank floor, with occasional MUST/MUST_NOT term and page-rank
+    clauses."""
+    shape = rng.choice(["E1", "E2", "E3"])
+    clauses = [QueryClause(FieldName.CONTENTS, Occur.SHOULD, Term(word))
+               for word in _zipf_words(rng, rng.randint(1, 60))]
+    if shape != "E1" and rng.random() < 0.5:
+        clauses.insert(0, QueryClause(FieldName.WIKI_TITLE, Occur.SHOULD,
+                                      Term(_zipf_words(rng, 1)[0])))
+    if shape == "E3":
+        clauses.extend(QueryClause(FieldName.TYPES, Occur.SHOULD, Term(kind))
+                       for kind in rng.sample(_ZIPF_KINDS, k=rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        occur = rng.choice([Occur.MUST, Occur.MUST_NOT])
+        field = rng.choice([FieldName.CONTENTS, FieldName.CATEGORIES, FieldName.TYPES])
+        term = rng.choice(_ZIPF_KINDS) if field is FieldName.TYPES else _zipf_words(rng, 1)[0]
+        clauses.append(QueryClause(field, occur, Term(term)))
+    if rng.random() < 0.2:
+        occur = rng.choice([Occur.SHOULD, Occur.MUST, Occur.MUST_NOT])
+        clauses.append(QueryClause(FieldName.PAGE_RANK, occur,
+                                   Term(str(rng.randint(0, 12)))))
+    if shape != "E1":
+        clauses.append(QueryClause(FieldName.PAGE_RANK, Occur.MUST_NOT,
+                                   RangeBody(1, rng.randint(1, 9))))
+    return FieldedQuery(clauses)
+
+
+# sha256 of the (title, score.hex()) hit lists of _zipf_query's 100 queries
+# at k = 1, 5 and 20 against a 2,000-record _zipf_kb, as clause-by-clause
+# evaluation gave them
+ZIPF_GOLDEN_SHA256 = "843de256c2519985302d843a644b667f19bff8a919a437af42d17faabd0807d2"
+
+
+class TestZipfGoldenSearch:
+    def test_hits_and_scores_bit_exact(self):
+        rng = random.Random(20261018)
+        index = KbIndex(_zipf_kb(rng, 2000))
+        results = [
+            [(h.record_title, h.score.hex()) for h in index.search(query, k)]
+            for query in (_zipf_query(rng) for _ in range(100))
+            for k in (1, 5, 20)
+        ]
+        assert sum(map(len, results)) > 2000
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == ZIPF_GOLDEN_SHA256
+
+
 class TestGetRecord:
     def test_kaiser_categories(self, kb_sample):
         index = KbIndex(kb_sample)
@@ -567,16 +692,19 @@ class TestPostingsConsistency:
     def test_tf_positive_iff_df_positive(self, kb_sample):
         index = KbIndex(kb_sample)
         for fname in INDEXED_FIELDS:
-            postings, _ = index._field(fname)
+            postings, _ = field_as_dicts(index, fname)
             for term, by_title in postings.items():
                 assert len(by_title) > 0
                 assert all(tf > 0 for tf in by_title.values())
 
 
+_OUT_OF_RANGE = re.escape("is out of range 0..2**63-1")
+
+
 class TestDumpIO:
     def test_round_trip(self, kb_sample, tmp_path):
         path = tmp_path / "kb.tsv"
-        save_kb_dump(kb_sample, path)
+        write_kb_dump(kb_sample, path)
         assert load_kb_dump(path) == kb_sample
 
     def test_field_count_error_names_line(self, tmp_path):
@@ -600,6 +728,9 @@ class TestDumpIO:
         ("-", "bad page rank '-'"),
         ("", "bad page rank ''"),
         ("-3", "negative page rank -3"),
+        ("9223372036854775808", f"page rank 9223372036854775808 {_OUT_OF_RANGE}"),
+        ("-99999999999999999999", "negative page rank -99999999999999999999"),
+        pytest.param("1" * 5000, f"page rank 1{{5000}} {_OUT_OF_RANGE}", id="5000-digits"),
     ])
     def test_rank_cells_int_would_read(self, tmp_path, rank, message):
         # int() reads "1_0" as 10, "+5" and " 5" as 5
@@ -608,7 +739,12 @@ class TestDumpIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
             load_kb_dump(path)
 
+    def test_rank_at_int64_max_loads(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("t\t009223372036854775807\t\t\t\t\tc\n", encoding="utf-8")
+        assert [r.page_rank for r in load_kb_dump(path)] == [2**63 - 1]
+
     def test_pipe_rejected_on_save(self, tmp_path):
         record = KnowledgeRecord(title="t", categories=["a|b"])
         with pytest.raises(ValueError, match=r"\|"):
-            save_kb_dump([record], tmp_path / "kb.tsv")
+            write_kb_dump([record], tmp_path / "kb.tsv")

@@ -3,6 +3,7 @@ representation fixtures."""
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
 )
 from kbcat.corpus import RawDocument
 from kbcat.textproc import (
+    DELIMITER_CHARS,
     EntityTag,
     Gazetteer,
     Representation,
@@ -49,6 +51,12 @@ class TestTokenize:
         # injected concept terms keep underscores only because they are
         # never split
         assert split_words("a_b") == ["a", "b"]
+
+    def test_every_code_point_splits_as_the_regex_does(self):
+        # the regex split_words used before it split with str.split()
+        split_re = re.compile("[\\s" + re.escape(DELIMITER_CHARS) + "]+")
+        text = "x" + "x".join(map(chr, range(sys.maxunicode + 1))) + "x"
+        assert split_words(text) == [p for p in split_re.split(text) if p]
 
 
 class TestRemoveStopwords:
