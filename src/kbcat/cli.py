@@ -2,7 +2,6 @@
 
 Subcommands:
   run             execute a configured experiment
-  index build     validate a KB dump and write its record count
   enrich preview  show a document before and after enrichment
   report          build an improvement table from saved metrics files
 
@@ -49,16 +48,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index_build(args: argparse.Namespace) -> int:
-    records = load_kb_dump(args.dump)
-    index = KbIndex(records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "index_stats.tsv").write_text(f"records\t{len(index)}\n", encoding="utf-8")
-    print(f"indexed {len(index)} records into {out}")
-    return 0
-
-
 def _cmd_enrich_preview(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     resources = load_resources(cfg)
@@ -82,14 +71,23 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    run_paths = []
+    # each NAME is one row of the table, after the baseline row
+    run_paths: dict[str, Path] = {}
     for item in args.runs:
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"--runs entries look like NAME=PATH, got {item!r}")
-        run_paths.append((name, Path(path)))
+        if not name:
+            raise ValueError(f"--runs entry {item!r} has an empty NAME")
+        if name == "baseline":
+            raise ValueError("--runs NAME 'baseline' is the table's baseline row")
+        if any(c in name for c in "\t\r\n"):
+            raise ValueError(f"--runs NAME {name!r} contains a TAB or line break")
+        if name in run_paths:
+            raise ValueError(f"--runs NAME {name!r} is repeated")
+        run_paths[name] = Path(path)
     table = improvement_table_from_files(
-        Path(args.baseline), run_paths, with_t_test=args.t_test
+        Path(args.baseline), list(run_paths.items()), with_t_test=args.t_test
     )
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -114,14 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.set_defaults(func=_cmd_run)
-
-    index = sub.add_parser("index", help="knowledge-base index commands")
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    build = index_sub.add_parser(
-        "build", help="validate a KB dump and write its record count")
-    build.add_argument("--dump", required=True)
-    build.add_argument("--out", required=True)
-    build.set_defaults(func=_cmd_index_build)
 
     enrich = sub.add_parser("enrich", help="enrichment commands")
     enrich_sub = enrich.add_subparsers(dest="enrich_command", required=True)

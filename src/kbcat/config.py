@@ -111,7 +111,7 @@ def _coerce(key: str, value: str) -> str | int | float | bool:
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     """Parse and validate config text; see load_config for file handling."""
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     unknown: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -125,11 +125,14 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         if key not in _FIELD_TYPES:
             unknown.append(key)
             continue
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(f"line {lineno}: key {key!r} repeated "
+                              f"(first set on line {raw[key][0]})")
+        raw[key] = (lineno, value)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    kwargs = {key: _coerce(key, value) for key, value in raw.items()}
+    kwargs = {key: _coerce(key, value) for key, (_, value) in raw.items()}
     for required in ("dataset", "corpus_dir"):
         if not kwargs.get(required):
             raise ConfigError(f"missing required key {required!r}")
@@ -208,16 +211,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, str]:
-    """Stringly-typed snapshot; round-trips through config_from_dict."""
+    """Stringly-typed snapshot. As ``key = value`` lines it is a config
+    file that parse_config_text reads back to an equal config, for values a
+    config file can hold (no ``#``, no newline)."""
     out = {}
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
         out[f.name] = str(value) if not isinstance(value, bool) else ("true" if value else "false")
     return out
 
-
-def config_from_dict(snapshot: dict[str, str]) -> ExperimentConfig:
-    return ExperimentConfig(**{
-        f.name: _coerce(f.name, snapshot[f.name])
-        for f in fields(ExperimentConfig) if f.name in snapshot
-    })

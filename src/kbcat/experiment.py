@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ExperimentConfig, config_from_dict, config_to_dict
+from .config import ExperimentConfig, config_to_dict
 from .corpus import (
     RawDocument,
     SubsetMode,
@@ -130,13 +130,11 @@ def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentC
     def run_fold(train, test):
         x_train = counts[train]
         vocab = fit_vocabulary(x_train)
-        ovr = train_one_vs_rest(vectorize(x_train, vocab), [labels[i] for i in train],
-                                categories, train_cfg)
+        models = train_one_vs_rest(vectorize(x_train, vocab), [labels[i] for i in train],
+                                   categories, train_cfg)
         gold = [set(labels[i]) for i in test]
-        pred = predict(ovr.models, vectorize(counts[test], vocab), mode)
-        artifacts = {"vocabulary": vocab, "models": ovr.models,
-                     "skipped_categories": ovr.skipped}
-        return gold, pred, artifacts
+        pred = predict(models, vectorize(counts[test], vocab), mode)
+        return gold, pred, {"vocabulary": vocab, "models": models}
 
     return run_fold
 
@@ -230,22 +228,6 @@ def write_manifest(manifest: dict[str, str], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in manifest.items():
             fh.write(f"{key} = {value}\n")
-
-
-def load_manifest(path: Path) -> dict[str, str]:
-    manifest = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" = ")
-        manifest[key] = value
-    return manifest
-
-
-def manifest_config(manifest: dict[str, str]) -> ExperimentConfig:
-    snapshot = {k[len("config."):]: v for k, v in manifest.items()
-                if k.startswith("config.")}
-    return config_from_dict(snapshot)
 
 
 def _tsv_line(*cells: str | float) -> str:

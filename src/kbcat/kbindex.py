@@ -223,10 +223,6 @@ class KbIndex:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def titles(self) -> list[str]:
-        return list(self._records)
-
     def get_record(self, title: str) -> KnowledgeRecord | None:
         return self._records.get(title)
 

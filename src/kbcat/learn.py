@@ -44,7 +44,7 @@ class LinearModel:
     objective: float | None = None
     objective_history: list[float] = field(default_factory=list)
     # the trainer's certificate: whether the relative duality gap met the
-    # tolerance, and that gap (NaN when unknown, as for a loaded model)
+    # tolerance, and that gap (NaN when unknown, as for a hand-built model)
     certified: bool = False
     rel_gap: float = math.nan
 
@@ -202,34 +202,26 @@ def train_binary_svm(
                        certified=certified, rel_gap=rel_gap)
 
 
-@dataclass
-class OneVsRestResult:
-    models: dict[str, LinearModel]
-    skipped: list[str]
-
-
 def train_one_vs_rest(
     X: sp.csr_matrix,
     labelsets: list[set[str]],
     categories: list[str] | tuple[str, ...],
     cfg: TrainConfig | None = None,
-) -> OneVsRestResult:
+) -> dict[str, LinearModel]:
     """One binary model per category, trained independently in category
     order on the same matrix. Categories with no positive example are
-    skipped with a warning.
+    skipped with a warning and have no model.
     """
     if X.shape[0] != len(labelsets):
         raise ValueError("X and labelsets must be the same length")
     models: dict[str, LinearModel] = {}
-    skipped: list[str] = []
     for category in categories:
         y = [1 if category in labels else -1 for labels in labelsets]
         if 1 not in y:
             logger.warning("category %r has no positive examples; skipped", category)
-            skipped.append(category)
             continue
         models[category] = train_binary_svm(X, y, cfg)
-    return OneVsRestResult(models=models, skipped=skipped)
+    return models
 
 
 def decision_values(models: dict[str, LinearModel], X: sp.csr_matrix) -> np.ndarray:
@@ -273,19 +265,3 @@ def save_models(models: dict[str, LinearModel], path) -> None:
             for i in np.nonzero(model.weights)[0]:
                 fh.write(f"{i}\t{float(model.weights[i])!r}\n")
 
-
-def load_models(path) -> dict[str, LinearModel]:
-    models: dict[str, LinearModel] = {}
-    current: LinearModel | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if parts[0] == "model":
-                _, category, bias, dim = parts
-                current = LinearModel(weights=np.zeros(int(dim)), bias=float(bias))
-                models[category] = current
-            else:
-                if current is None:
-                    raise ValueError(f"{path}: weight line before any model header")
-                current.weights[int(parts[0])] = float(parts[1])
-    return models

@@ -10,7 +10,6 @@ import synth
 from kbcat.cli import main
 from kbcat.config import (
     ConfigError,
-    config_from_dict,
     config_to_dict,
     load_config,
     parse_config_text,
@@ -22,8 +21,6 @@ from kbcat.experiment import (
     format_metrics_tsv,
     headline_scores,
     improvement_table_from_files,
-    load_manifest,
-    manifest_config,
     parse_metrics_tsv,
     run_experiment,
     run_rows,
@@ -75,6 +72,16 @@ class TestLoadConfig:
     def test_unknown_key_named(self, separable_corpus):
         with pytest.raises(ConfigError, match="foo"):
             parse_config_text(_config_text(separable_corpus) + "foo = 1\n")
+
+    @pytest.mark.parametrize("first, second, key", [
+        ("k = 5", "k = 20", "k"), ("preset = baseline", "preset=custom", "preset"),
+    ], ids=["k", "preset"])
+    def test_repeated_key_names_both_lines(self, separable_corpus, first, second, key):
+        text = (f"dataset = custom\n# a comment\n{first}\n{second}\n"
+                f"corpus_dir = {separable_corpus}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == f"line 4: key {key!r} repeated (first set on line 3)"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="corpus_dir"):
@@ -134,10 +141,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="svm_max_epochs"):
             parse_config_text(_config_text(separable_corpus, svm_max_epochs=value))
 
-    def test_bad_snapshot_value_names_key(self):
-        with pytest.raises(ConfigError, match="'seed'"):
-            config_from_dict({"dataset": "custom", "corpus_dir": "c", "seed": "x"})
-
     @pytest.mark.parametrize("key, value", [
         ("representation", "T9"), ("strategies", "E2,E7"),
     ])
@@ -152,7 +155,8 @@ class TestLoadConfig:
     def test_config_dict_round_trip(self, separable_corpus):
         cfg = parse_config_text(_config_text(separable_corpus, svm_c="0.5",
                                              include_linked="true"))
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        text = "".join(f"{key} = {value}\n" for key, value in config_to_dict(cfg).items())
+        assert parse_config_text(text) == cfg
 
 
 class TestRunExperiment:
@@ -282,8 +286,12 @@ class TestRunExperiment:
         out = tmp_path / "run"
         cfg = parse_config_text(_config_text(separable_corpus, out_dir=out))
         run_experiment(cfg)
-        manifest = load_manifest(out / "manifest.txt")
-        assert manifest_config(manifest) == cfg
+        lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        manifest = dict(line.split(" = ", 1) for line in lines)
+        # the config.* lines, prefix removed, are a config file for this run
+        config_text = "\n".join(line[len("config."):] for line in lines
+                                if line.startswith("config."))
+        assert parse_config_text(config_text) == cfg
         assert manifest["toolkit_version"]
         assert any(k.startswith("checksum.") for k in manifest)
         assert any(k.startswith("timing.") for k in manifest)
@@ -492,14 +500,6 @@ class TestCli:
         assert text.startswith("run\tmicro_f\tmacro_f")
         assert "A4\t" in text
 
-    def test_index_build(self, tmp_path, capsys):
-        kb = tmp_path / "kb.tsv"
-        synth.write_kb_dump(synth.build_kb(), kb)
-        out = tmp_path / "index"
-        assert main(["index", "build", "--dump", str(kb), "--out", str(out)]) == 0
-        assert (out / "index_stats.tsv").read_text(encoding="utf-8") == "records\t50\n"
-        assert "50 records" in capsys.readouterr().out
-
     def test_enrich_preview(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         synth.write_corpus_tree(synth.build_docs(), corpus)
@@ -551,10 +551,22 @@ class TestCli:
                             ": no 'mean' or 'overall' run row"),
     }
 
+    # NAMEs given to `report --runs` that would make the table ambiguous,
+    # and the start of the error line each gives
+    BAD_RUN_NAMES = {
+        "runs_name_empty": ([""], "error: --runs entry '="),
+        "runs_name_repeated": (["A", "B", "A"], "error: --runs NAME 'A' is repeated\n"),
+        "runs_name_baseline": (["baseline"],
+                               "error: --runs NAME 'baseline' is the table's baseline row\n"),
+        "runs_name_with_tab": (["a\tb"],
+                               "error: --runs NAME 'a\\tb' contains a TAB or line break\n"),
+        "runs_name_with_newline": (["a\nb"], "error: --runs NAME 'a\\nb' contains a TAB "
+                                              "or line break\n"),
+    }
+
     @pytest.mark.parametrize("case", [
         "non_numeric_config_value",
         "config_is_directory",
-        "malformed_dump_index_build",
         "malformed_dump_enrich_preview",
         "page_rank_past_int64_run",
         "zero_f_baseline",
@@ -567,6 +579,7 @@ class TestCli:
         "repeated_newid_run",
         "missing_newid_run",
         *BAD_METRICS,
+        *BAD_RUN_NAMES,
     ])
     def test_bad_input_is_one_error_line(self, case, separable_corpus, tmp_path,
                                          capsys):
@@ -592,9 +605,6 @@ class TestCli:
             argv = ["run", "--config", str(cfg_path)]
         elif case == "config_is_directory":
             argv = ["run", "--config", str(tmp_path)]
-        elif case == "malformed_dump_index_build":
-            argv = ["index", "build", "--dump", str(bad_kb),
-                    "--out", str(tmp_path / "index")]
         elif case == "malformed_dump_enrich_preview":
             cfg_path.write_text(
                 _config_text(separable_corpus, preset="A4", kb_dump=bad_kb),
@@ -631,6 +641,10 @@ class TestCli:
         elif case == "runs_entry_without_equals":
             argv = report("good", "good")[:-1] + ["foo"]
             message = "error: --runs entries look like NAME=PATH, got 'foo'"
+        elif case in self.BAD_RUN_NAMES:
+            names, message = self.BAD_RUN_NAMES[case]
+            argv = report("good", "good")[:-1] + [f"{name}={tmp_path / 'good.tsv'}"
+                                                  for name in names]
         elif case.endswith("newid_run"):
             # documents sharing an id would collapse into one prepared document
             sgm = tmp_path / "reuters" / "reut2-000.sgm"

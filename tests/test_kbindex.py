@@ -38,7 +38,7 @@ def field_as_dicts(index: KbIndex, fname: FieldName
     """The field's postings as {term: {title: tf}} and its token counts as
     {title: length}, rebuilt from the index's arrays."""
     field = index._field(fname)
-    titles = sorted(index.titles)
+    titles, _ = index._sorted()
     postings = {}
     for term, row in field.rows.items():
         span = slice(field.starts[row], field.starts[row + 1])
@@ -212,8 +212,8 @@ class TestScore:
     def test_non_negative(self, kb_sample):
         index = KbIndex(kb_sample)
         q = parse_query("contents:health contents:kaiser wikiTitle:insurance")
-        for title in index.titles:
-            assert index.score(q, title) >= 0.0
+        for record in kb_sample:
+            assert index.score(q, record.title) >= 0.0
 
     def test_unknown_title_raises(self):
         index = KbIndex([KnowledgeRecord(title="X", contents="drug")])
