@@ -34,12 +34,6 @@ class SubsetMode(Enum):
     AT_LEAST_ONE_TRAIN_ONE_TEST = "at_least_one_train_one_test"
 
 
-@dataclass(frozen=True)
-class CategorySubset:
-    mode: SubsetMode
-    categories: tuple[str, ...]
-
-
 class ReutersParseError(ValueError):
     """Malformed SGML; the message names the byte offset of the problem."""
 
@@ -234,8 +228,8 @@ def load_20newsgroups(root: str | Path) -> list[RawDocument]:
 
 def select_category_subset(
     docs: list[RawDocument], mode: SubsetMode
-) -> CategorySubset:
-    """Pick the evaluated category set from split-hinted documents."""
+) -> tuple[str, ...]:
+    """Pick the evaluated categories from split-hinted documents."""
     train_counts: dict[str, int] = {}
     test_counts: dict[str, int] = {}
     all_categories: set[str] = set()
@@ -253,12 +247,12 @@ def select_category_subset(
                 f"top-ten subset needs >= 10 categories, corpus has {len(all_categories)}"
             )
         ranked = sorted(all_categories, key=lambda c: (-train_counts.get(c, 0), c))
-        return CategorySubset(mode, tuple(ranked[:10]))
+        return tuple(ranked[:10])
 
     kept = sorted(
         c for c in all_categories if train_counts.get(c, 0) >= 1 and test_counts.get(c, 0) >= 1
     )
-    return CategorySubset(mode, tuple(kept))
+    return tuple(kept)
 
 
 def make_folds(docs: list[RawDocument], k: int, seed: int) -> list[int]:

@@ -1,5 +1,10 @@
-"""Contingency accumulation, micro/macro F-measure, relative improvement,
-paired t-test, and the fold loop.
+"""Label matrices, per-category counts, micro/macro F-measure, relative
+improvement, paired t-test, and the fold loop.
+
+A fold's gold and predicted labels are bool matrices (test documents x
+evaluated categories, in category order); ``accumulate`` turns a pair into
+one (tp, fp, fn) row per category, and the pooled report of a run is taken
+from the sum of its folds' counts.
 
 Cross-validation and the fixed (ModApte) split are one loop: CV runs k
 folds from ``make_folds``, and the split runs one fold whose pooled report
@@ -14,33 +19,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .corpus import RawDocument, SplitHint, make_folds
-
-
-@dataclass
-class CategoryCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-
-@dataclass
-class ContingencyTable:
-    counts: dict[str, CategoryCounts] = field(default_factory=dict)
-    n_docs: int = 0
-
-    def merge(self, other: "ContingencyTable") -> None:
-        for category, cc in other.counts.items():
-            mine = self.counts.setdefault(category, CategoryCounts())
-            mine.tp += cc.tp
-            mine.fp += cc.fp
-            mine.fn += cc.fn
-            mine.tn += cc.tn
-        self.n_docs += other.n_docs
 
 
 @dataclass
@@ -59,36 +43,27 @@ class TTestResult:
     p_two_tailed: float
 
 
-def accumulate(
-    gold: list[set[str]],
-    pred: list[set[str]],
-    categories: Iterable[str],
-) -> ContingencyTable:
-    """Per-category tp/fp/fn/tn over aligned gold and predicted label sets."""
-    if len(gold) != len(pred):
-        raise ValueError("gold and pred must be the same length")
-    cats = list(categories)
-    cat_set = set(cats)
-    table = ContingencyTable(
-        counts={c: CategoryCounts() for c in cats}, n_docs=len(gold)
-    )
-    for g, p in zip(gold, pred):
-        stray = (g | p) - cat_set
+def label_matrix(labelsets: list[set[str]], categories: Sequence[str]) -> np.ndarray:
+    """A bool matrix with one row per label set and one column per category,
+    True where the set holds the category."""
+    column = {c: j for j, c in enumerate(categories)}
+    labels = np.zeros((len(labelsets), len(column)), dtype=bool)
+    for i, labelset in enumerate(labelsets):
+        stray = labelset - column.keys()
         if stray:
             raise ValueError(f"labels outside the category set: {sorted(stray)}")
-        for c in cats:
-            in_g = c in g
-            in_p = c in p
-            cc = table.counts[c]
-            if in_g and in_p:
-                cc.tp += 1
-            elif in_p:
-                cc.fp += 1
-            elif in_g:
-                cc.fn += 1
-            else:
-                cc.tn += 1
-    return table
+        labels[i, [column[c] for c in labelset]] = True
+    return labels
+
+
+def accumulate(gold: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Per-category (tp, fp, fn) rows from aligned gold and predicted label
+    matrices (documents x categories)."""
+    if gold.shape != pred.shape:
+        raise ValueError(f"gold and pred must be the same shape, "
+                         f"got {gold.shape} and {pred.shape}")
+    return np.column_stack([(gold & pred).sum(axis=0), (pred & ~gold).sum(axis=0),
+                            (gold & ~pred).sum(axis=0)])
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -98,33 +73,19 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def micro_f(table: ContingencyTable) -> float:
-    return micro_scores(table)[2]
-
-
-def micro_scores(table: ContingencyTable) -> tuple[float, float, float]:
-    tp = sum(cc.tp for cc in table.counts.values())
-    fp = sum(cc.fp for cc in table.counts.values())
-    fn = sum(cc.fn for cc in table.counts.values())
-    return _prf(tp, fp, fn)
-
-
-def macro_f(table: ContingencyTable) -> float:
-    """Mean of per-category F over all categories in the table."""
-    if not table.counts:
-        raise ValueError("contingency table has no categories")
-    scores = [_prf(cc.tp, cc.fp, cc.fn)[2] for cc in table.counts.values()]
-    return sum(scores) / len(scores)
-
-
-def metric_report(table: ContingencyTable) -> MetricReport:
-    p, r, f = micro_scores(table)
+def metric_report(counts: np.ndarray, categories: Sequence[str]) -> MetricReport:
+    """Micro scores from the summed counts; macro F is the mean of the
+    per-category F in category order."""
+    per_category = {c: _prf(*row) for c, row in zip(categories, counts.tolist(),
+                                                     strict=True)}
+    micro_p, micro_r, micro_f = _prf(*counts.sum(axis=0).tolist())
+    scores = [f for _p, _r, f in per_category.values()]
     return MetricReport(
-        micro_precision=p,
-        micro_recall=r,
-        micro_f=f,
-        macro_f=macro_f(table),
-        per_category={c: _prf(cc.tp, cc.fp, cc.fn) for c, cc in table.counts.items()},
+        micro_precision=micro_p,
+        micro_recall=micro_r,
+        micro_f=micro_f,
+        macro_f=sum(scores) / len(scores),
+        per_category=per_category,
     )
 
 
@@ -166,8 +127,8 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
 
 
 # A fold is a (train, test) pair of row numbers into the run's documents.
-# A fold runner maps one to (gold, pred, artifacts): label-set lists aligned
-# with the test rows, and a dict the result keeps for the fold.
+# A fold runner maps one to (gold, pred, models): label matrices whose rows
+# are the test rows, and what the result keeps of the fold's models.
 Fold = tuple[list[int], list[int]]
 FoldRunner = Callable[[list[int], list[int]], tuple]
 
@@ -176,7 +137,7 @@ FoldRunner = Callable[[list[int], list[int]], tuple]
 class CvResult:
     fold_reports: list[MetricReport]
     pooled: MetricReport  # a single fold's pooled report is its own
-    fold_artifacts: list[dict]
+    fold_models: list  # the runner's third value per fold: models to save, or None
 
 
 def cv_folds(docs: list[RawDocument], k: int, seed: int) -> list[Fold]:
@@ -201,19 +162,17 @@ def split_fold(docs: list[RawDocument]) -> list[Fold]:
     return [(train, test)]
 
 
-def run_folds(folds: list[Fold], runner: FoldRunner, categories: Iterable[str]) -> CvResult:
-    """Run every fold in order: a report per fold, one pooled over all the
-    folds' contingency counts, and each fold's artifacts."""
-    cats = list(categories)
-    fold_reports, fold_artifacts = [], []
-    pooled = ContingencyTable(counts={c: CategoryCounts() for c in cats})
+def run_folds(folds: list[Fold], runner: FoldRunner, categories: Sequence[str]) -> CvResult:
+    """Run every fold in order: a report per fold, one from the folds'
+    counts added together, and each fold's models as its runner kept them."""
+    fold_reports, fold_counts, fold_models = [], [], []
     for fold, (train, test) in enumerate(folds):
         try:
-            gold, pred, artifacts = runner(train, test)
+            gold, pred, models = runner(train, test)
         except Exception as exc:
             raise RuntimeError(f"pipeline failed in fold {fold}: {exc}") from exc
-        table = accumulate(gold, pred, cats)
-        fold_reports.append(metric_report(table))
-        fold_artifacts.append(artifacts)
-        pooled.merge(table)
-    return CvResult(fold_reports, metric_report(pooled), fold_artifacts)
+        counts = accumulate(gold, pred)
+        fold_reports.append(metric_report(counts, categories))
+        fold_counts.append(counts)
+        fold_models.append(models)
+    return CvResult(fold_reports, metric_report(sum(fold_counts), categories), fold_models)

@@ -1,10 +1,11 @@
 """Experiment orchestration: corpus loading, enrichment, training,
 evaluation, and artifact emission for one configured run.
 
-The pipeline is load -> represent/enrich -> stem+lowercase and count once
--> per fold: vectorize -> train -> predict -> evaluate. Cross-validation and
-the fixed split run the same fold loop; the split is one fold. The baseline
-preset skips enrichment entirely. Every run emits a manifest and a metrics
+The pipeline is load -> represent/enrich -> stem+lowercase and count once,
+and build the documents x categories label matrix once -> per fold:
+vectorize -> train -> predict -> evaluate. Cross-validation and the fixed
+split run the same fold loop; the split is one fold. The baseline preset
+skips enrichment entirely. Every run emits a manifest and a metrics
 TSV into the run directory, plus an improvement TSV when a baseline metrics
 file is supplied and model dumps when requested.
 """
@@ -35,6 +36,7 @@ from .evaluation import (
     MetricReport,
     accumulate,
     cv_folds,
+    label_matrix,
     metric_report,
     paired_t_test,
     relative_improvement,
@@ -81,7 +83,7 @@ def load_corpus(cfg: ExperimentConfig) -> tuple[list[RawDocument], tuple[str, ..
         docs = load_reuters_dir(cfg.corpus_dir)
         mode = (SubsetMode.TOP_TEN if cfg.dataset == "reuters10"
                 else SubsetMode.AT_LEAST_ONE_TRAIN_ONE_TEST)
-        categories = select_category_subset(docs, mode).categories
+        categories = select_category_subset(docs, mode)
     else:
         docs = load_20newsgroups(cfg.corpus_dir)
         categories = tuple(sorted({l for d in docs for l in d.labels}))
@@ -118,23 +120,24 @@ def prepare_documents(
     return [apply_preset(doc, preset, index, resources) for doc in docs]
 
 
-def make_fold_runner(tagged: list, categories: tuple[str, ...], cfg: ExperimentConfig):
+def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
+                     cfg: ExperimentConfig):
     """Count the terms of every prepared document once, row i for the fold
-    rows' document i; each fold trains and predicts on row selections."""
+    rows' document i; ``labels`` is the bool label matrix of those rows.
+    Each fold trains and predicts on row selections, and keeps its models
+    only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
     counts, _terms = count_terms(tagged)
-    labels = [t.labels for t in tagged]
 
     def run_fold(train, test):
         x_train = counts[train]
         vocab = fit_vocabulary(x_train)
-        models = train_one_vs_rest(vectorize(x_train, vocab), [labels[i] for i in train],
+        models = train_one_vs_rest(vectorize(x_train, vocab), labels[train],
                                    categories, train_cfg)
-        gold = [set(labels[i]) for i in test]
-        pred = predict(models, vectorize(counts[test], vocab), mode)
-        return gold, pred, {"vocabulary": vocab, "models": models}
+        pred = predict(models, vectorize(counts[test], vocab), mode, categories)
+        return labels[test], pred, models if cfg.save_models else None
 
     return run_fold
 
@@ -182,7 +185,8 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     def evaluate():
         folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"
                  else split_fold(admitted))
-        runner = make_fold_runner(prepared, categories, cfg)
+        labels = label_matrix([d.labels for d in admitted], categories)
+        runner = make_fold_runner(prepared, labels, categories, cfg)
         return run_folds(folds, runner, categories)
 
     evaluated = stage("evaluate", evaluate)
@@ -377,6 +381,6 @@ def _write_artifacts(
         )
         (out_dir / "improvement.tsv").write_text(table, encoding="utf-8")
     if cfg.save_models:
-        for i, artifacts in enumerate(evaluated.fold_artifacts):
+        for i, models in enumerate(evaluated.fold_models):
             file_name = "models.tsv" if cv is None else f"models_fold{i}.tsv"
-            save_models(artifacts["models"], out_dir / file_name)
+            save_models(models, out_dir / file_name)

@@ -204,23 +204,24 @@ def train_binary_svm(
 
 def train_one_vs_rest(
     X: sp.csr_matrix,
-    labelsets: list[set[str]],
+    labels: np.ndarray,
     categories: list[str] | tuple[str, ...],
     cfg: TrainConfig | None = None,
 ) -> dict[str, LinearModel]:
     """One binary model per category, trained independently in category
-    order on the same matrix. Categories with no positive example are
-    skipped with a warning and have no model.
+    order on the same matrix. ``labels`` is a bool matrix with a row per
+    row of ``X`` and a column per category; column j gives category j's
+    +1 rows. Categories with no positive example are skipped with a
+    warning and have no model.
     """
-    if X.shape[0] != len(labelsets):
-        raise ValueError("X and labelsets must be the same length")
+    if X.shape[0] != labels.shape[0]:
+        raise ValueError("X and labels must have the same number of rows")
     models: dict[str, LinearModel] = {}
-    for category in categories:
-        y = [1 if category in labels else -1 for labels in labelsets]
-        if 1 not in y:
+    for category, column in zip(categories, labels.T, strict=True):
+        if not column.any():
             logger.warning("category %r has no positive examples; skipped", category)
             continue
-        models[category] = train_binary_svm(X, y, cfg)
+        models[category] = train_binary_svm(X, np.where(column, 1, -1).tolist(), cfg)
     return models
 
 
@@ -239,20 +240,28 @@ def decision_values(models: dict[str, LinearModel], X: sp.csr_matrix) -> np.ndar
 
 
 def predict(
-    models: dict[str, LinearModel], X: sp.csr_matrix, mode: str
-) -> list[set[str]]:
-    """One label set per row of ``X`` in a config ``label_mode``. ``multi``:
-    every category with a positive decision value (may be empty).
-    ``single``: the argmax category, ties broken by category order."""
+    models: dict[str, LinearModel],
+    X: sp.csr_matrix,
+    mode: str,
+    categories: list[str] | tuple[str, ...],
+) -> np.ndarray:
+    """A bool label matrix in a config ``label_mode``: a row per row of
+    ``X``, a column per category. ``multi``: every category with a positive
+    decision value (may be none). ``single``: the argmax category, ties
+    broken by category order. A category without a model is never
+    predicted."""
     if not models:
         raise ValueError("no models to predict with")
-    categories = list(models)
     values = decision_values(models, X)
     if mode == "multi":
-        return [{categories[j] for j in np.flatnonzero(row > 0.0)} for row in values]
-    if mode == "single":
-        return [{categories[j]} for j in values.argmax(axis=1)]
-    raise ValueError(f"unknown prediction mode {mode!r}")
+        hits = values > 0.0
+    elif mode == "single":
+        hits = values.argmax(axis=1)[:, None] == np.arange(len(models))
+    else:
+        raise ValueError(f"unknown prediction mode {mode!r}")
+    pred = np.zeros((X.shape[0], len(categories)), dtype=bool)
+    pred[:, [categories.index(c) for c in models]] = hits
+    return pred
 
 
 def save_models(models: dict[str, LinearModel], path) -> None:

@@ -50,11 +50,8 @@ class TaggedDocument:
     """A represented document: its words in text order with case preserved,
     one entity tag per word, and the enrichment terms appended after them."""
 
-    id: str
     tokens: list[str]
     tags: list[EntityTag]
-    labels: set[str]
-    representation: Representation
     injected: list[str] = field(default_factory=list)
 
 
@@ -187,8 +184,7 @@ def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocu
     else:
         tags = [EntityTag.NONE] * len(words)
 
-    return TaggedDocument(id=doc.id, tokens=words, tags=tags,
-                          labels=set(doc.labels), representation=kind)
+    return TaggedDocument(tokens=words, tags=tags)
 
 
 def load_stoplist(path: str | Path) -> set[str]:

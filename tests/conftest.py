@@ -7,7 +7,7 @@ import pytest
 
 from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
 from kbcat.kbindex import KbIndex, KnowledgeRecord
-from kbcat.textproc import EntityTag, Gazetteer, Representation, TaggedDocument
+from kbcat.textproc import EntityTag, Gazetteer, TaggedDocument
 
 # A 20-Newsgroups style post used as the golden representation fixture.
 SAMPLE_POST = (
@@ -113,20 +113,13 @@ def kb_sample() -> list[KnowledgeRecord]:
 
 
 def make_tagged(
-    surfaces: list[str],
-    doc_id: str = "doc",
-    labels: set[str] | None = None,
-    representation: Representation = Representation.T1,
-    tags: list[EntityTag] | None = None,
+    surfaces: list[str], tags: list[EntityTag] | None = None
 ) -> TaggedDocument:
     """Build a TaggedDocument directly from its words (bypassing
     split_words), the way enrichment receives already-split text."""
     return TaggedDocument(
-        id=doc_id,
         tokens=list(surfaces),
         tags=tags or [EntityTag.NONE] * len(surfaces),
-        labels=labels or set(),
-        representation=representation,
     )
 
 

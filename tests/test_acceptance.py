@@ -20,7 +20,7 @@ from conftest import (
 from kbcat.config import parse_config_text
 from kbcat.corpus import SplitHint, SubsetMode, load_reuters_dir, select_category_subset
 from kbcat.enrich import build_e2_query, filter_e4
-from kbcat.evaluation import accumulate, macro_f, micro_f, relative_improvement
+from kbcat.evaluation import accumulate, label_matrix, metric_report, relative_improvement
 from kbcat.experiment import run_experiment
 from kbcat.kbindex import KbIndex, serialize_query
 from kbcat.learn import TrainConfig, train_binary_svm
@@ -128,16 +128,17 @@ def test_05_metric_oracle_exhaustive():
     start = time.perf_counter()
     cats = ["a", "b", "c"]
     gold = [{"a"}, {"a", "b"}, {"c"}, {"b", "c"}]
+    gold_matrix = label_matrix(gold, cats)
     cells = [(d, c) for d in range(4) for c in cats]
     for bits in range(2 ** 12):
         pred = [set() for _ in range(4)]
         for k, (d, c) in enumerate(cells):
             if bits >> k & 1:
                 pred[d].add(c)
-        table = accumulate(gold, pred, cats)
+        report = metric_report(accumulate(gold_matrix, label_matrix(pred, cats)), cats)
         micro_expected, macro_expected = micro_macro_by_enumeration(gold, pred, cats)
-        assert micro_f(table) == micro_expected
-        assert macro_f(table) == macro_expected
+        assert report.micro_f == micro_expected
+        assert report.macro_f == macro_expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _ok(5, f"micro/macro vs enumeration on 4096 patterns in {elapsed:.2f}s")
@@ -241,7 +242,7 @@ def test_11_real_reuters_if_present():
     test = sum(1 for d in docs if d.split_hint is SplitHint.TEST)
     assert train == 9603, f"train admission {train}"
     assert test == 3299, f"test admission {test}"
-    subset = select_category_subset(docs, SubsetMode.AT_LEAST_ONE_TRAIN_ONE_TEST)
+    categories = select_category_subset(docs, SubsetMode.AT_LEAST_ONE_TRAIN_ONE_TEST)
     by_cat_train: dict[str, int] = {}
     by_cat_test: dict[str, int] = {}
     for d in docs:
@@ -251,6 +252,6 @@ def test_11_real_reuters_if_present():
             elif d.split_hint is SplitHint.TEST:
                 by_cat_test[label] = by_cat_test.get(label, 0) + 1
     expected = sorted(c for c in by_cat_train if by_cat_test.get(c, 0) >= 1)
-    assert list(subset.categories) == expected
-    assert len(subset.categories) == 90
-    _ok(11, f"ModApte admission 9603/3299, {len(subset.categories)} categories")
+    assert list(categories) == expected
+    assert len(categories) == 90
+    _ok(11, f"ModApte admission 9603/3299, {len(categories)} categories")

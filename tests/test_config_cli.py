@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import synth
+from conftest import make_tagged
 from kbcat.cli import main
 from kbcat.config import (
     ConfigError,
@@ -266,7 +267,7 @@ class TestRunExperiment:
         calls = []
 
         def counting(doc):
-            calls.append(doc.id)
+            calls.append(id(doc))  # the prepared documents live until the run ends
             return original(doc)
 
         original = features.document_terms
@@ -296,26 +297,55 @@ class TestRunExperiment:
         assert any(k.startswith("checksum.") for k in manifest)
         assert any(k.startswith("timing.") for k in manifest)
 
-    def test_vocabulary_fitted_on_train_only(self, separable_corpus, tmp_path):
+    def test_vocabulary_fitted_on_train_only(self, separable_corpus, monkeypatch):
         # hygiene: each fold's df counts exactly its training documents
         from collections import Counter
 
-        from kbcat.evaluation import cv_folds, run_folds
+        from kbcat import experiment
+        from kbcat.evaluation import cv_folds, label_matrix, run_folds
         from kbcat.experiment import (admit_documents, load_corpus,
                                       load_resources, make_fold_runner,
                                       prepare_documents)
         from kbcat.features import count_terms, document_terms
+        fitted = []
+
+        def recording(counts):
+            fitted.append(original(counts))
+            return fitted[-1]
+
+        original = experiment.fit_vocabulary
+        monkeypatch.setattr(experiment, "fit_vocabulary", recording)
         cfg = parse_config_text(_config_text(separable_corpus))
         docs, categories = load_corpus(cfg)
         admitted = admit_documents(docs, categories)
         tagged = prepare_documents(admitted, cfg, None, load_resources(cfg))
+        labels = label_matrix([d.labels for d in admitted], categories)
         _, terms = count_terms(tagged)
         folds = cv_folds(admitted, 4, cfg.seed)
-        result = run_folds(folds, make_fold_runner(tagged, categories, cfg), categories)
-        for (train, _test), artifacts in zip(folds, result.fold_artifacts, strict=True):
-            vocab = artifacts["vocabulary"]
+        run_folds(folds, make_fold_runner(tagged, labels, categories, cfg), categories)
+        for (train, _test), vocab in zip(folds, fitted, strict=True):
             train_df = Counter(t for i in train for t in set(document_terms(tagged[i])))
             assert dict(zip([terms[c] for c in vocab.columns], vocab.df.tolist())) == train_df
+
+    def test_category_without_model_is_never_predicted(self, separable_corpus):
+        # "rare" labels only a test document of a multi-label fold: it gets
+        # no model, an all-False prediction column and one false negative
+        from kbcat.evaluation import accumulate, label_matrix, run_folds
+        from kbcat.experiment import make_fold_runner
+        cfg = parse_config_text(_config_text(separable_corpus, label_mode="multi",
+                                             save_models="true"))
+        categories = ("blue", "rare", "red")
+        words = ["blue", "blue", "red", "red", "blue", "red"]
+        labels = label_matrix([{w} for w in words[:4]] + [{"blue", "rare"}, {"red"}],
+                              categories)
+        runner = make_fold_runner([make_tagged([w, "sky"]) for w in words], labels,
+                                  categories, cfg)
+        gold, pred, models = runner([0, 1, 2, 3], [4, 5])
+        assert list(models) == ["blue", "red"]
+        assert not pred[:, 1].any()
+        assert accumulate(gold, pred)[1].tolist() == [0, 0, 1]
+        result = run_folds([([0, 1, 2, 3], [4, 5])], runner, categories)
+        assert result.pooled.per_category["rare"] == (0.0, 0.0, 0.0)
 
     def test_empty_cv_fold_is_a_stage_error(self, tmp_path):
         # 3 classes of 2 documents leave folds 2-4 of 5 without test documents

@@ -160,9 +160,9 @@ class TestSelectCategorySubset:
             + [_doc(f"c{i}", {"c"}, SplitHint.TRAIN) for i in range(5)]
             + [_doc(f"x{i}", {f"pad{i}"}, SplitHint.TRAIN) for i in range(8)]
         )
-        subset = select_category_subset(docs, SubsetMode.TOP_TEN)
+        categories = select_category_subset(docs, SubsetMode.TOP_TEN)
         # a and c tie at 5 training docs; lexicographic order breaks the tie
-        assert subset.categories[:3] == ("a", "c", "b")
+        assert categories[:3] == ("a", "c", "b")
 
     def test_top_ten_needs_ten_categories(self):
         docs = [_doc("1", {"a"}, SplitHint.TRAIN), _doc("2", {"b"}, SplitHint.TRAIN)]
@@ -176,8 +176,8 @@ class TestSelectCategorySubset:
             _doc("3", {"train_only"}, SplitHint.TRAIN),
             _doc("4", {"test_only"}, SplitHint.TEST),
         ]
-        subset = select_category_subset(docs, SubsetMode.AT_LEAST_ONE_TRAIN_ONE_TEST)
-        assert subset.categories == ("both",)
+        categories = select_category_subset(docs, SubsetMode.AT_LEAST_ONE_TRAIN_ONE_TEST)
+        assert categories == ("both",)
 
 
 def _fold_ids(docs, folds, fold):

@@ -107,7 +107,6 @@ class TestStrategyQuery:
     # tagged in reverse of the canonical kind order, with a repeated token
     DOC = make_tagged(
         ["fbi", "america", "reno", "drug", "drug"],
-        representation=Representation.T4,
         tags=[EntityTag.ORGANIZATION, EntityTag.LOCATION, EntityTag.PERSON,
               EntityTag.NONE, EntityTag.NONE],
     )
@@ -172,13 +171,12 @@ class TestEnrichE3:
         ])
 
     def test_types_clause_boosts_typed_record(self):
-        doc = make_tagged(["shared"], representation=Representation.T4,
-                          tags=[EntityTag.ORGANIZATION])
+        doc = make_tagged(["shared"], tags=[EntityTag.ORGANIZATION])
         out = retrieve(doc, self._typed_index(), Strategy.E3, 2)
         assert out.titles == ["Org", "Plain"]
 
     def test_untagged_doc_equals_e2(self):
-        doc = make_tagged(["shared"], representation=Representation.T4)
+        doc = make_tagged(["shared"])
         assert retrieve(doc, self._typed_index(), Strategy.E3, 2) == retrieve(
             doc, self._typed_index(), Strategy.E2, 2
         )
@@ -303,7 +301,7 @@ class TestApplyPreset:
         doc = RawDocument(id="d", title="", body="ember quartz", labels={"alpha"})
         enriched = apply_preset(doc, PRESETS["A4"], KbIndex([]), _resources())
         assert enriched.injected == []
-        assert enriched.representation is Representation.T1
+        assert enriched.tokens == ["ember", "quartz"]
 
     def test_original_tokens_never_touched(self):
         doc = RawDocument(id="d", title="head", body="ember quartz the report",

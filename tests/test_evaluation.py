@@ -11,10 +11,8 @@ from kbcat.corpus import RawDocument, SplitHint
 from kbcat.evaluation import (
     accumulate,
     cv_folds,
-    macro_f,
+    label_matrix,
     metric_report,
-    micro_f,
-    micro_scores,
     paired_t_test,
     relative_improvement,
     run_folds,
@@ -24,82 +22,86 @@ from kbcat.evaluation import (
 from oracles import micro_macro_by_enumeration
 
 
+def _tally(gold, pred, cats) -> dict[str, list[int]]:
+    """category -> [tp, fp, fn] of label-set lists, through label_matrix."""
+    counts = accumulate(label_matrix(gold, cats), label_matrix(pred, cats))
+    return dict(zip(cats, counts.tolist(), strict=True))
+
+
+def _report(gold, pred, cats):
+    return metric_report(accumulate(label_matrix(gold, cats), label_matrix(pred, cats)),
+                         cats)
+
+
 class TestAccumulate:
     def test_perfect_predictions(self):
         gold = [{"a"}, {"b"}, {"a", "b"}]
-        table = accumulate(gold, gold, ["a", "b"])
-        for cc in table.counts.values():
-            assert cc.fp == 0 and cc.fn == 0
+        for _tp, fp, fn in _tally(gold, gold, ["a", "b"]).values():
+            assert fp == 0 and fn == 0
 
     def test_single_miss(self):
-        table = accumulate([{"a"}], [{"b"}], ["a", "b"])
-        assert table.counts["a"].fn == 1
-        assert table.counts["b"].fp == 1
-        assert table.counts["a"].tp == table.counts["b"].tp == 0
+        tally = _tally([{"a"}], [{"b"}], ["a", "b"])
+        assert tally["a"][2] == 1
+        assert tally["b"][1] == 1
+        assert tally["a"][0] == tally["b"][0] == 0
 
     def test_hand_tally(self):
         gold = [{"a"}, {"a", "b"}, {"c"}, {"b"}]
         pred = [{"a"}, {"b"}, {"b"}, set()]
-        table = accumulate(gold, pred, ["a", "b", "c"])
-        assert (table.counts["a"].tp, table.counts["a"].fn) == (1, 1)
-        assert (table.counts["b"].tp, table.counts["b"].fp,
-                table.counts["b"].fn) == (1, 1, 1)
-        assert (table.counts["c"].fn, table.counts["c"].tn) == (1, 3)
-        # cells sum to the document count for every category
-        for cc in table.counts.values():
-            assert cc.tp + cc.fp + cc.fn + cc.tn == 4
+        tally = _tally(gold, pred, ["a", "b", "c"])
+        assert (tally["a"][0], tally["a"][2]) == (1, 1)
+        assert tally["b"] == [1, 1, 1]
+        assert tally["c"][2] == 1
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="stray|outside"):
-            accumulate([{"zzz"}], [set()], ["a"])
+            label_matrix([{"zzz"}], ["a"])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            accumulate([{"a"}], [], ["a"])
+            accumulate(label_matrix([{"a"}], ["a"]), label_matrix([], ["a"]))
 
 
 class TestMicroMacro:
-    def _two_cat_table(self):
+    def _two_cat_report(self):
         # cat1: tp2 fp1 fn1; cat2: tp0 fp0 fn1
         gold = [{"c1"}, {"c1"}, {"c1"}, {"c2"}, set()]
         pred = [{"c1"}, {"c1"}, set(), {"c1"}, set()]
-        return accumulate(gold, pred, ["c1", "c2"])
+        return _report(gold, pred, ["c1", "c2"])
 
     def test_micro_hand_value(self):
-        table = self._two_cat_table()
-        p, r, f = micro_scores(table)
-        assert p == pytest.approx(2 / 3)
-        assert r == pytest.approx(1 / 2)
-        assert f == pytest.approx(4 / 7)
+        report = self._two_cat_report()
+        assert report.micro_precision == pytest.approx(2 / 3)
+        assert report.micro_recall == pytest.approx(1 / 2)
+        assert report.micro_f == pytest.approx(4 / 7)
 
     def test_macro_hand_value(self):
-        assert macro_f(self._two_cat_table()) == pytest.approx(1 / 3)
+        assert self._two_cat_report().macro_f == pytest.approx(1 / 3)
 
     def test_perfect(self):
         gold = [{"a"}, {"b"}]
-        table = accumulate(gold, gold, ["a", "b"])
-        assert micro_f(table) == 1.0
-        assert macro_f(table) == 1.0
+        report = _report(gold, gold, ["a", "b"])
+        assert report.micro_f == 1.0
+        assert report.macro_f == 1.0
 
     def test_all_wrong_is_zero(self):
-        table = accumulate([{"a"}], [{"b"}], ["a", "b"])
-        assert micro_f(table) == 0.0
-        assert macro_f(table) == 0.0
+        report = _report([{"a"}], [{"b"}], ["a", "b"])
+        assert report.micro_f == 0.0
+        assert report.macro_f == 0.0
 
     def test_single_category_macro(self):
-        table = accumulate([{"a"}, {"a"}], [{"a"}, set()], ["a"])
-        report = metric_report(table)
+        report = _report([{"a"}, {"a"}], [{"a"}, set()], ["a"])
         assert report.macro_f == pytest.approx(report.per_category["a"][2])
 
     def test_category_permutation_invariance(self):
         gold = [{"a"}, {"b"}, {"c"}]
         pred = [{"a"}, {"c"}, {"c"}]
         renamed = lambda s: {{"a": "x", "b": "y", "c": "z"}[v] for v in s}
-        t1 = accumulate(gold, pred, ["a", "b", "c"])
-        t2 = accumulate([renamed(g) for g in gold], [renamed(p) for p in pred],
-                        ["x", "y", "z"])
-        assert micro_f(t1) == micro_f(t2)
-        assert macro_f(t1) == macro_f(t2)
+        r1 = _report(gold, pred, ["a", "b", "c"])
+        r2 = _report([renamed(g) for g in gold], [renamed(p) for p in pred],
+                     ["x", "y", "z"])
+        assert r1.micro_f == r2.micro_f
+        assert r1.macro_f == r2.macro_f
 
     def test_exhaustive_patterns_match_enumeration_oracle(self):
         # all 2^(4 docs x 3 categories) prediction patterns, exact equality
@@ -111,20 +113,20 @@ class TestMicroMacro:
             for k, (d, c) in enumerate(cells):
                 if bits >> k & 1:
                     pred[d].add(c)
-            table = accumulate(gold, pred, cats)
+            report = _report(gold, pred, cats)
             micro_expected, macro_expected = micro_macro_by_enumeration(
                 gold, pred, cats)
-            assert micro_f(table) == micro_expected
-            assert macro_f(table) == macro_expected
+            assert report.micro_f == micro_expected
+            assert report.macro_f == macro_expected
 
     def test_single_label_tp_equals_correct_count(self):
         rng = random.Random(3)
         cats = ["a", "b", "c"]
         gold = [{rng.choice(cats)} for _ in range(40)]
         pred = [{rng.choice(cats)} for _ in range(40)]
-        table = accumulate(gold, pred, cats)
+        tally = _tally(gold, pred, cats)
         correct = sum(1 for g, p in zip(gold, pred) if g == p)
-        assert sum(cc.tp for cc in table.counts.values()) == correct
+        assert sum(tp for tp, _fp, _fn in tally.values()) == correct
 
 
 class TestRelativeImprovement:
@@ -199,14 +201,15 @@ def _docs(n_per_class: int = 8) -> list[RawDocument]:
     return docs
 
 
-def _word_match_runner(docs):
+def _word_match_runner(docs, categories=("blue", "red")):
     # predict the label whose name appears in the body; trivially separable
     def runner(train, test):
         labels = sorted({l for i in train for l in docs[i].labels})
         gold = [set(docs[i].labels) for i in test]
         pred = [{next((l for l in labels if l in docs[i].body), labels[0])}
                 for i in test]
-        return gold, pred, {"train_ids": [docs[i].id for i in train]}
+        return (label_matrix(gold, categories), label_matrix(pred, categories),
+                [docs[i].id for i in train])
 
     return runner
 
@@ -220,7 +223,7 @@ class TestRunCv:
     def test_k_reports(self):
         result = run_cv(_docs(), 4, seed=1, categories=["blue", "red"])
         assert len(result.fold_reports) == 4
-        assert len(result.fold_artifacts) == 4
+        assert len(result.fold_models) == 4
 
     def test_separable_scores_one(self):
         result = run_cv(_docs(), 4, seed=1, categories=["blue", "red"])
@@ -239,10 +242,10 @@ class TestRunCv:
         result = run_folds(folds, _word_match_runner(docs), ["blue", "red"])
         assert len(folds) == 4
         assert sorted(i for _, test in folds for i in test) == list(range(len(docs)))
-        for (train, test), artifacts in zip(folds, result.fold_artifacts, strict=True):
+        for (train, test), train_ids in zip(folds, result.fold_models, strict=True):
             assert not set(train) & set(test)
             assert sorted(train + test) == list(range(len(docs)))
-            assert artifacts["train_ids"] == [docs[i].id for i in train]
+            assert train_ids == [docs[i].id for i in train]
 
     def test_fold_error_names_fold(self):
         def broken(train, test):
@@ -260,7 +263,7 @@ class TestRunCv:
 
         def runner(train, test):
             calls.append(test)
-            return _word_match_runner(docs)(train, test)
+            return _word_match_runner(docs, ("blue", "green", "red"))(train, test)
 
         with pytest.raises(ValueError, match="cv fold 2 of 5 has no test documents"):
             run_cv(docs, 5, seed=0, categories=["blue", "green", "red"], runner=runner)
@@ -291,14 +294,15 @@ class TestSplitFold:
         docs = _split_docs()
 
         def runner(train, test):
-            gold, pred, artifacts = _word_match_runner(docs)(train, test)
-            return gold, [{"blue", "red"}] + pred[1:], artifacts
+            gold, pred, train_ids = _word_match_runner(docs)(train, test)
+            pred[0] = True
+            return gold, pred, train_ids
 
         result = run_folds(split_fold(docs), runner, ["blue", "red"])
         [fold] = result.fold_reports
         assert result.pooled == fold
         assert fold.micro_f < 1.0
-        assert len(result.fold_artifacts) == 1
+        assert len(result.fold_models) == 1
 
     def test_runner_error_names_fold_zero(self):
         def broken(train, test):

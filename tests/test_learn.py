@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from kbcat import learn
+from kbcat.evaluation import label_matrix
 from kbcat.learn import (
     LinearModel,
     TrainConfig,
@@ -221,22 +222,22 @@ class TestTrainingProperties:
 class TestOneVsRest:
     def test_disjoint_positives_classify_training_data(self):
         X = _csr([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
-        labels = [{"a"}, {"a"}, {"b"}, {"b"}]
+        labels = label_matrix([{"a"}, {"a"}, {"b"}, {"b"}], ["a", "b"])
         models = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
         assert set(models) == {"a", "b"}
-        assert predict(models, X, "single") == labels
+        assert np.array_equal(predict(models, X, "single", ["a", "b"]), labels)
 
     def test_multilabel_doc_is_positive_for_both(self):
         X = _csr([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        labels = [{"a", "b"}, {"a"}, {"b"}, set()]
+        labels = label_matrix([{"a", "b"}, {"a"}, {"b"}, set()], ["a", "b"])
         # documents with no label act as shared negatives
         models = train_one_vs_rest(X, labels, ["a", "b"], TrainConfig(c=100.0))
-        pred = predict(models, X[:1], "multi")
-        assert pred == [{"a", "b"}]
+        pred = predict(models, X[:1], "multi", ["a", "b"])
+        assert pred.tolist() == [[True, True]]
 
     def test_category_without_positives_skipped(self, caplog):
         X = _csr([[1.0], [-1.0]])
-        labels = [{"a"}, set()]
+        labels = label_matrix([{"a"}, set()], ["a", "ghost"])
         with caplog.at_level(logging.WARNING):
             models = train_one_vs_rest(X, labels, ["a", "ghost"])
         assert "category 'ghost' has no positive examples; skipped" in caplog.text
@@ -246,20 +247,20 @@ class TestOneVsRest:
         rng = random.Random(8)
         cats = [f"c{i}" for i in range(6)]
         X = _csr([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(30)])
-        labels = [{rng.choice(cats)} for _ in range(30)]
-        present = sorted({c for ls in labels for c in ls})
-        models = train_one_vs_rest(X, labels, present)
+        labelsets = [{rng.choice(cats)} for _ in range(30)]
+        present = sorted({c for ls in labelsets for c in ls})
+        models = train_one_vs_rest(X, label_matrix(labelsets, present), present)
         assert list(models) == present
         # every category trains on the same matrix, as one binary problem
         for category, model in models.items():
-            y = [1 if category in ls else -1 for ls in labels]
+            y = [1 if category in ls else -1 for ls in labelsets]
             alone = train_binary_svm(X, y)
             assert np.array_equal(model.weights, alone.weights)
             assert model.bias == alone.bias
 
     def test_row_count_must_match_labelsets(self):
         with pytest.raises(ValueError):
-            train_one_vs_rest(_csr([[1.0], [-1.0]]), [{"a"}], ["a"])
+            train_one_vs_rest(_csr([[1.0], [-1.0]]), label_matrix([{"a"}], ["a"]), ["a"])
 
 
 def _sequential_decision(model: LinearModel, cols, vals) -> float:
@@ -301,6 +302,14 @@ class TestDecisionValues:
         assert decision_values(models, X).tolist() == [[-0.25], [5.75]]
 
 
+def _predict(models, X, mode):
+    """predict with the models' own order as the category order, as label
+    sets."""
+    categories = list(models)
+    return [{c for c, hit in zip(categories, row) if hit}
+            for row in predict(models, X, mode, categories)]
+
+
 class TestPredict:
     def _models(self):
         return {
@@ -313,12 +322,12 @@ class TestPredict:
             "a": LinearModel(weights=np.array([0.5]), bias=0.0),
             "b": LinearModel(weights=np.array([-0.2]), bias=0.0),
         }
-        assert predict(models, _csr([[1.0], [-1.0], [0.0]]),
+        assert _predict(models, _csr([[1.0], [-1.0], [0.0]]),
                        "multi") == [{"a"}, {"b"}, set()]
 
     def test_single_label_argmax(self):
         models = self._models()
-        assert predict(models, _csr([[1.0], [-1.0]]),
+        assert _predict(models, _csr([[1.0], [-1.0]]),
                        "single") == [{"a"}, {"b"}]
 
     def test_single_label_returns_least_negative(self):
@@ -326,19 +335,19 @@ class TestPredict:
             "a": LinearModel(weights=np.array([0.0]), bias=-0.5),
             "b": LinearModel(weights=np.array([0.0]), bias=-0.2),
         }
-        assert predict(models, _csr([[1.0]]), "single") == [{"b"}]
+        assert _predict(models, _csr([[1.0]]), "single") == [{"b"}]
 
     def test_multilabel_may_be_empty(self):
         models = {"a": LinearModel(weights=np.array([0.0]), bias=-1.0)}
-        assert predict(models, _csr([[1.0]]), "multi") == [set()]
+        assert _predict(models, _csr([[1.0]]), "multi") == [set()]
 
     def test_argmax_invariant_under_shared_positive_scale(self):
         models = self._models()
         scaled = {c: LinearModel(weights=m.weights * 3.0, bias=m.bias * 3.0)
                   for c, m in models.items()}
         X = _csr([[-2.0], [-0.5], [0.3], [1.5]])
-        assert (predict(models, X, "single")
-                == predict(scaled, X, "single"))
+        assert (_predict(models, X, "single")
+                == _predict(scaled, X, "single"))
 
     def test_tie_broken_by_category_order(self):
         models = {
@@ -346,7 +355,7 @@ class TestPredict:
             "earlier": LinearModel(weights=np.array([0.0]), bias=0.5),
         }
         # insertion order is the category order
-        assert predict(models, _csr([[1.0]]), "single") == [{"later"}]
+        assert _predict(models, _csr([[1.0]]), "single") == [{"later"}]
 
     @pytest.mark.parametrize("mode", ["multi", "single"])
     def test_rows_match_decision_values(self, mode):
@@ -356,7 +365,7 @@ class TestPredict:
                                  bias=float(rng.normal(scale=0.1)))
                   for c in ("x", "y", "z")}
         values = decision_values(models, X)
-        pred = predict(models, X, mode)
+        pred = _predict(models, X, mode)
         assert len(pred) == 40
         for row, labels in zip(values, pred):
             if mode == "multi":
@@ -366,9 +375,9 @@ class TestPredict:
 
     def test_no_models_or_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="no models"):
-            predict({}, _csr([[1.0]]), "multi")
+            _predict({}, _csr([[1.0]]), "multi")
         with pytest.raises(ValueError, match="unknown prediction mode"):
-            predict(self._models(), _csr([[1.0]]), "ranked")
+            _predict(self._models(), _csr([[1.0]]), "ranked")
 
 
 def test_model_dump_round_trip(tmp_path):
