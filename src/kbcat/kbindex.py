@@ -1,7 +1,11 @@
 """Fielded inverted index over knowledge-base records.
 
 Records carry a title, redirects, entity types, categories, linked
-concepts, a bag-of-words contents field, and an integer page rank.
+concepts, a bag-of-words contents field, and an integer page rank. The
+index keeps them as columns, one list per field in dump order with a list
+field's items in one '|'-joined cell (``KbColumns``); a ``KnowledgeRecord``
+is made only when a caller asks for one by title, as enrichment does for
+its search hits.
 Queries are flat lists of (occurrence, field, term-or-range) clauses in a
 small query language, e.g.::
 
@@ -16,7 +20,10 @@ coordination factor.
 Records get ids in sorted-title order. Each field's postings are built
 the first time a query touches the field, so an index whose queries use
 only contents and types never tokenizes the titles, redirects, categories
-or linked concepts of its records. A built field is a term -> row dict and
+or linked concepts of its records. A field build tokenizes each cell of
+its column in one pass (``lowercase_words``; a '|' is a delimiter, so a
+list cell gives the terms of its items), but for ``types``, whose items
+are normalized one by one. A built field is a term -> row dict and
 CSR arrays (Zobel & Moffat 2006): the int32 ids of the records holding a
 row's term, ascending, with their int32 term counts, plus an int32 token
 count per record; one int64 array holds every record's page rank.
@@ -45,11 +52,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .textproc import DELIMITER_CHARS, split_words
+from .textproc import DELIMITER_CHARS, lowercase_words
 
 
 class FieldName(Enum):
@@ -133,23 +140,90 @@ def normalize_entity_type(item: str) -> str:
     return "".join(item.split()).lower()
 
 
-def _field_terms(record: KnowledgeRecord, name: FieldName) -> list[str]:
-    if name is FieldName.CONTENTS:
-        return [w.lower() for w in split_words(record.contents)]
-    if name is FieldName.WIKI_TITLE:
-        return [w.lower() for w in split_words(record.title)]
-    if name is FieldName.TYPES:
-        return [normalize_entity_type(item) for item in record.entity_types]
-    if name is FieldName.REDIRECTS:
-        items = record.redirects
-    elif name is FieldName.CATEGORIES:
-        items = record.categories
-    else:
-        items = record.linked_concepts
-    terms: list[str] = []
+def _items(cell: str) -> list[str]:
+    return [item for item in cell.split("|") if item]
+
+
+def _join_items(items: list[str]) -> str:
     for item in items:
-        terms.extend(w.lower() for w in split_words(item))
-    return terms
+        if not item or "|" in item:
+            raise ValueError(f"a list item must be non-empty and hold no '|': {item!r}")
+    return "|".join(items)
+
+
+def _entity_type_terms(cell: str) -> list[str]:
+    return [normalize_entity_type(item) for item in _items(cell)]
+
+
+@dataclass(frozen=True)
+class KbColumns:
+    """A KB in dump order, one list per field: the titles (unique), the
+    page ranks, the '|'-joined redirects, entity types, categories and
+    linked concepts, and the contents. An empty cell is an empty string,
+    and an empty item between two '|' is no item."""
+
+    titles: list[str]
+    page_ranks: array  # int64 ("q")
+    redirects: list[str]
+    entity_types: list[str]
+    categories: list[str]
+    linked_concepts: list[str]
+    contents: list[str]
+
+    def __len__(self) -> int:
+        return len(self.titles)
+
+    @classmethod
+    def from_records(cls, records: Iterable[KnowledgeRecord]) -> KbColumns:
+        """The columns of records whose titles are unique and whose list
+        items are non-empty and hold no '|', so ``record`` gives each one
+        back unchanged."""
+        kb = cls([], array("q"), [], [], [], [], [])
+        seen: set[str] = set()
+        for r in records:
+            if r.title in seen:
+                raise DuplicateTitleError(f"duplicate record title: {r.title!r}")
+            seen.add(r.title)
+            kb.titles.append(r.title)
+            kb.page_ranks.append(r.page_rank)
+            kb.redirects.append(_join_items(r.redirects))
+            kb.entity_types.append(_join_items(r.entity_types))
+            kb.categories.append(_join_items(r.categories))
+            kb.linked_concepts.append(_join_items(r.linked_concepts))
+            kb.contents.append(r.contents)
+        return kb
+
+    def record(self, row: int) -> KnowledgeRecord:
+        return KnowledgeRecord(
+            title=self.titles[row],
+            redirects=_items(self.redirects[row]),
+            entity_types=_items(self.entity_types[row]),
+            categories=_items(self.categories[row]),
+            linked_concepts=_items(self.linked_concepts[row]),
+            contents=self.contents[row],
+            page_rank=self.page_ranks[row],
+        )
+
+
+# the column each field's terms come from
+_COLUMNS = {
+    FieldName.CONTENTS: "contents",
+    FieldName.WIKI_TITLE: "titles",
+    FieldName.REDIRECTS: "redirects",
+    FieldName.TYPES: "entity_types",
+    FieldName.CATEGORIES: "categories",
+    FieldName.LINKED_CONCEPTS: "linked_concepts",
+}
+
+
+class _Order(NamedTuple):
+    """Record ids follow sorted-title order: record i has the title
+    ``titles[i]``, the page rank ``ranks[i]`` and the dump row
+    ``dump_rows[i]``."""
+
+    titles: list[str]
+    ranks: np.ndarray
+    dump_rows: list[int]
 
 
 class _Field(NamedTuple):
@@ -199,41 +273,47 @@ def _rank_matches(body: Term | RangeBody, ranks: np.ndarray) -> np.ndarray:
 
 
 class KbIndex:
-    """Records by title; record ids follow sorted-title order. Each field's
-    postings are built on first use (see ``_field``), so the records must
-    not change after construction: per field a term -> row dict, CSR
-    postings of int32 record ids and int32 term counts, and an int32
-    token count per record; one int64 page-rank array covers all records.
+    """A KB's columns, searchable by field; record ids follow sorted-title
+    order. Each field's postings are built on first use (see ``_field``),
+    so the columns must not change after construction: per field a term ->
+    row dict, CSR postings of int32 record ids and int32 term counts, and
+    an int32 token count per record; one int64 page-rank array covers all
+    records. Records given as ``KnowledgeRecord`` objects are turned into
+    columns (``KbColumns.from_records``).
 
-    The sorted titles with the rank array, every built field and the last
+    The record order with the rank array, every built field and the last
     query's scores are each stored whole, so concurrent searches need no
     locking: two threads may build the same arrays at once, and the second
     stores a result equal to the first."""
 
-    def __init__(self, records: list[KnowledgeRecord]) -> None:
-        self._records: dict[str, KnowledgeRecord] = {}
-        for record in records:
-            if record.title in self._records:
-                raise DuplicateTitleError(f"duplicate record title: {record.title!r}")
-            self._records[record.title] = record
-        self._order: tuple[list[str], np.ndarray] | None = None
+    def __init__(self, kb: KbColumns | Iterable[KnowledgeRecord]) -> None:
+        self._kb = kb if isinstance(kb, KbColumns) else KbColumns.from_records(kb)
+        self._order: _Order | None = None
         self._fields: dict[FieldName, _Field] = {}
         self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._kb)
 
     def get_record(self, title: str) -> KnowledgeRecord | None:
-        return self._records.get(title)
+        """The record with this title, made from its columns, or None."""
+        i = self._record_id(title)
+        return None if i is None else self._kb.record(self._sorted().dump_rows[i])
 
-    def _sorted(self) -> tuple[list[str], np.ndarray]:
-        """The titles in record-id order and the page rank of each record,
-        built with the first field or query and stored whole."""
+    def _record_id(self, title: str) -> int | None:
+        titles = self._sorted().titles
+        i = bisect_left(titles, title)
+        return i if i < len(titles) and titles[i] == title else None
+
+    def _sorted(self) -> _Order:
+        """The record order, built with the first field or query and
+        stored whole."""
         order = self._order
         if order is None:
-            titles = sorted(self._records)
-            ranks = np.array([self._records[t].page_rank for t in titles], dtype=np.int64)
-            order = self._order = (titles, ranks)
+            titles = self._kb.titles
+            dump_rows = sorted(range(len(titles)), key=titles.__getitem__)
+            ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)[dump_rows]
+            order = self._order = _Order([titles[r] for r in dump_rows], ranks, dump_rows)
         return order
 
     def _field(self, fname: FieldName) -> _Field:
@@ -248,21 +328,26 @@ class KbIndex:
         (np.unique would copy the keys and make three more index arrays)."""
         built = self._fields.get(fname)
         if built is None:
-            titles, _ = self._sorted()
+            column = getattr(self._kb, _COLUMNS[fname])
+            terms_of = _entity_type_terms if fname is FieldName.TYPES else lowercase_words
             # a new term gets the next row
             rows: defaultdict[str, int] = defaultdict(itertools.count().__next__)
             term_ids = array("i")
             lengths = array("i")
-            for title in titles:
-                terms = _field_terms(self._records[title], fname)
-                lengths.append(len(terms))
-                term_ids.extend(map(rows.__getitem__, terms))
-            n = max(len(titles), 1)  # no tokens when there are no records
+            for cell in map(column.__getitem__, self._sorted().dump_rows):
+                if cell:
+                    terms = terms_of(cell)
+                    lengths.append(len(terms))
+                    term_ids.extend(map(rows.__getitem__, terms))
+                else:
+                    lengths.append(0)
+            n_records = len(lengths)
+            n = max(n_records, 1)  # no tokens when there are no records
             lengths_np = np.array(lengths, dtype=np.int32)
             keys = np.array(term_ids, dtype=np.int64)
             del term_ids
             keys *= n
-            keys += np.repeat(np.arange(len(titles), dtype=np.int32), lengths_np)
+            keys += np.repeat(np.arange(n_records, dtype=np.int32), lengths_np)
             keys.sort()
             n_tokens = len(keys)
             run_start = np.ones(n_tokens, dtype=bool)
@@ -294,7 +379,7 @@ class KbIndex:
         span = slice(field.starts[row], field.starts[row + 1])
         ids = field.ids[span]
         # math.log, not np.log, which is not correctly rounded everywhere
-        idf = (1.0 + math.log(len(self._records) / (len(ids) + 1))
+        idf = (1.0 + math.log(len(self._kb) / (len(ids) + 1))
                if clause.field in SCORED_FIELDS else 0.0)
         return _Postings(ids, field.tfs[span], field.lengths[ids], idf)
 
@@ -305,7 +390,7 @@ class KbIndex:
         last = self._last_scores
         if last is not None and last[0] == query.clauses:
             return last[1], last[2]
-        _, ranks = self._sorted()
+        ranks = self._sorted().ranks
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
         rank_matched = np.zeros(len(ranks), dtype=np.int64)
         rank_candidate = np.zeros(len(ranks), dtype=bool)
@@ -347,9 +432,8 @@ class KbIndex:
         coordination factor (matched positive clauses / positive clauses)
         times the summed mass of its matching scored term clauses. A record
         that matches no positive term clause scores 0.0."""
-        titles, _ = self._sorted()
-        i = bisect_left(titles, title)
-        if i == len(titles) or titles[i] != title:
+        i = self._record_id(title)
+        if i is None:
             raise KeyError(title)
         return float(self._query_scores(query)[1][i])
 
@@ -362,7 +446,7 @@ class KbIndex:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        titles, ranks = self._sorted()
+        titles, ranks, _ = self._sorted()
         candidates, _ = self._query_scores(query)
         keep = np.ones(len(candidates), dtype=bool)
         for clause in query.clauses:
@@ -454,11 +538,13 @@ def serialize_query(query: FieldedQuery) -> str:
     return " ".join(parts)
 
 
-def load_kb_dump(path: str | Path) -> list[KnowledgeRecord]:
+def load_kb_dump(path: str | Path) -> KbColumns:
     """Read the TAB-separated dump: title, page_rank, redirects,
     entity_types, categories, linked_concepts, contents. List fields use
-    '|' between items; an empty field is an empty string."""
-    records = []
+    '|' between items; an empty field is an empty string. The cells are
+    kept as they are, in dump order."""
+    kb = KbColumns([], array("q"), [], [], [], [], [])
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -485,15 +571,15 @@ def load_kb_dump(path: str | Path) -> list[KnowledgeRecord]:
             if page_rank > _INT64_MAX:  # ranks are int64 in the index
                 raise ValueError(
                     f"{path}:{lineno}: page rank {rank} is out of range 0..2**63-1")
-            split = lambda s: [item for item in s.split("|") if item]
-            records.append(KnowledgeRecord(
-                title=title,
-                redirects=split(redirects),
-                entity_types=split(types),
-                categories=split(cats),
-                linked_concepts=split(linked),
-                contents=contents,
-                page_rank=page_rank,
-            ))
-    return records
-
+            first = first_line.setdefault(title, lineno)
+            if first != lineno:
+                raise DuplicateTitleError(
+                    f"{path}:{lineno}: duplicate title {title!r} (first on line {first})")
+            kb.titles.append(title)
+            kb.page_ranks.append(page_rank)
+            kb.redirects.append(redirects)
+            kb.entity_types.append(types)
+            kb.categories.append(cats)
+            kb.linked_concepts.append(linked)
+            kb.contents.append(contents)
+    return kb

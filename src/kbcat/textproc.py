@@ -61,6 +61,16 @@ def split_words(text: str) -> list[str]:
     return text.translate(_DELIMITERS_TO_SPACE).split()
 
 
+def lowercase_words(text: str) -> list[str]:
+    """``[w.lower() for w in split_words(text)]`` in one pass over the text.
+
+    Lowering after the translate gives the same words because lowercasing
+    maps no character to or from whitespace, and a space ends a word for
+    the final-sigma rule just as it does for the split. Lowering before
+    the translate does not: ``"ΑΣ.Β"`` would give ``ασ``, not ``ας``."""
+    return text.translate(_DELIMITERS_TO_SPACE).lower().split()
+
+
 class Gazetteer:
     """Multi-word surface -> entity kind map with greedy longest-match lookup."""
 
@@ -73,7 +83,7 @@ class Gazetteer:
 
     def add(self, surface: str, kind: EntityTag) -> None:
         # the split the documents get, so "U.S." is keyed ("u", "s")
-        key = tuple(w.lower() for w in split_words(surface))
+        key = tuple(lowercase_words(surface))
         if not key:
             return
         self._entries[key] = kind

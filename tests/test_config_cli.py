@@ -599,6 +599,7 @@ class TestCli:
         "config_is_directory",
         "malformed_dump_enrich_preview",
         "page_rank_past_int64_run",
+        "duplicate_title_run",
         "zero_f_baseline",
         "metrics_without_header",
         "non_numeric_metrics_cell",
@@ -649,6 +650,15 @@ class TestCli:
             argv = ["run", "--config", str(cfg_path)]
             message = (f"error: stage 'index' failed: {bad_kb}:1: page rank "
                        f"9223372036854775808 is out of range 0..2**63-1\n")
+        elif case == "duplicate_title_run":
+            bad_kb.write_text("X\t1\t\t\t\t\tc\nY\t1\t\t\t\t\tc\nX\t2\t\t\t\t\td\n",
+                              encoding="utf-8")
+            cfg_path.write_text(
+                _config_text(separable_corpus, preset="A4", kb_dump=bad_kb),
+                encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+            message = (f"error: stage 'index' failed: {bad_kb}:3: duplicate title 'X' "
+                       f"(first on line 1)\n")
         elif case == "zero_f_baseline":
             argv = report("zero", "good")
             message = f"error: {tmp_path / 'zero.tsv'}: a baseline's micro_f and macro_f"

@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_tagged, retrieve
@@ -15,6 +16,7 @@ from kbcat.kbindex import (
     DuplicateTitleError,
     FieldedQuery,
     FieldName,
+    KbColumns,
     KbIndex,
     KnowledgeRecord,
     Occur,
@@ -38,7 +40,7 @@ def field_as_dicts(index: KbIndex, fname: FieldName
     """The field's postings as {term: {title: tf}} and its token counts as
     {title: length}, rebuilt from the index's arrays."""
     field = index._field(fname)
-    titles, _ = index._sorted()
+    titles = index._sorted().titles
     postings = {}
     for term, row in field.rows.items():
         span = slice(field.starts[row], field.starts[row + 1])
@@ -77,6 +79,15 @@ class TestBuildIndex:
         records = [KnowledgeRecord(title="Same"), KnowledgeRecord(title="Same")]
         with pytest.raises(DuplicateTitleError, match="Same"):
             KbIndex(records)
+
+    @pytest.mark.parametrize("list_field", ["redirects", "entity_types", "categories",
+                                            "linked_concepts"])
+    @pytest.mark.parametrize("item", ["", "a|b", "|"])
+    def test_list_item_a_dump_cannot_hold_rejected(self, list_field, item):
+        # such an item would not come back unchanged from get_record
+        record = KnowledgeRecord(title="t", **{list_field: ["ok", item]})
+        with pytest.raises(ValueError, match="non-empty and hold no '\\|'"):
+            KbIndex([record])
 
 
 # words whose lowercase is not the ASCII rule: a Greek capital sigma that
@@ -673,6 +684,68 @@ class TestZipfGoldenSearch:
         assert digest == ZIPF_GOLDEN_SHA256
 
 
+def _battery(index: KbIndex, queries: list[FieldedQuery]) -> list[list[tuple[str, str]]]:
+    return [[(h.record_title, h.score.hex()) for h in index.search(query, k)]
+            for query in queries for k in (1, 5, 20)]
+
+
+def _kb_and_queries(kind: str, rng: random.Random
+                    ) -> tuple[list[KnowledgeRecord], list[FieldedQuery]]:
+    """A KB with queries for it: E1/E2/E3-shaped ones on a Zipf KB, random
+    MUST, MUST_NOT and page-rank ones, or one clause on each term of every
+    field of records with non-ASCII case rules."""
+    if kind == "zipf":
+        return _zipf_kb(rng, 300), [_zipf_query(rng) for _ in range(60)]
+    if kind == "random":
+        records = [_random_record(rng, i) for i in range(40)]
+        return records, ([_random_query(rng) for _ in range(60)]
+                         + [_random_e2_query(rng) for _ in range(20)])
+    records = [_random_cased_record(rng, i) for i in range(40)]
+    queries = [FieldedQuery([QueryClause(fname, occur, Term(term))])
+               for fname in INDEXED_FIELDS
+               for term in field_as_dicts(KbIndex(records), fname)[0]
+               for occur in (Occur.SHOULD, Occur.MUST)]
+    return records, queries
+
+
+class TestColumns:
+    @pytest.mark.parametrize("kind", ["zipf", "random", "cased"])
+    def test_index_from_records_equals_index_from_dump(self, tmp_path, kind):
+        records, queries = _kb_and_queries(kind, random.Random(20261019))
+        path = tmp_path / "kb.tsv"
+        write_kb_dump(records, path)
+        from_records, from_dump = KbIndex(records), KbIndex(load_kb_dump(path))
+        assert from_records._sorted().titles == from_dump._sorted().titles
+        assert np.array_equal(from_records._sorted().ranks, from_dump._sorted().ranks)
+        for fname in INDEXED_FIELDS:
+            a, b = from_records._field(fname), from_dump._field(fname)
+            assert a.rows == b.rows, fname
+            for x, y in zip(a[1:], b[1:]):
+                assert x.dtype == y.dtype and np.array_equal(x, y), fname
+        assert _battery(from_records, queries) == _battery(from_dump, queries)
+        assert [from_dump.get_record(r.title) for r in records] == records
+
+    def test_load_build_and_search_make_no_record(self, tmp_path, monkeypatch):
+        rng = random.Random(20261019)
+        records = _zipf_kb(rng, 300)
+        queries = ([_zipf_query(rng) for _ in range(30)]
+                   + [_random_query(rng) for _ in range(30)])
+        path = tmp_path / "kb.tsv"
+        write_kb_dump(records, path)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a KnowledgeRecord was made")
+
+        monkeypatch.setattr(KnowledgeRecord, "__init__", refuse)
+        index = KbIndex(load_kb_dump(path))
+        for fname in INDEXED_FIELDS:
+            index._field(fname)
+        assert sum(map(len, _battery(index, queries))) > 0
+        # the patch holds: asking for a record by title makes one
+        with pytest.raises(AssertionError, match="KnowledgeRecord was made"):
+            index.get_record(records[0].title)
+
+
 class TestGetRecord:
     def test_kaiser_categories(self, kb_sample):
         index = KbIndex(kb_sample)
@@ -705,7 +778,24 @@ class TestDumpIO:
     def test_round_trip(self, kb_sample, tmp_path):
         path = tmp_path / "kb.tsv"
         write_kb_dump(kb_sample, path)
-        assert load_kb_dump(path) == kb_sample
+        kb = load_kb_dump(path)
+        assert kb == KbColumns.from_records(kb_sample)
+        index = KbIndex(kb)
+        assert len(index) == len(kb_sample)
+        assert [index.get_record(r.title) for r in kb_sample] == kb_sample
+
+    def test_duplicate_title_names_both_lines(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("a\t1\t\t\t\t\tx\nb\t2\t\t\t\t\ty\n\na\t3\t\t\t\t\tz\n",
+                        encoding="utf-8")
+        message = f"{path}:4: duplicate title 'a' (first on line 1)"
+        with pytest.raises(DuplicateTitleError, match=f"^{re.escape(message)}$"):
+            load_kb_dump(path)
+
+    def test_empty_items_are_no_items(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("t\t1\t|a||b|\t\t\t\tx\n", encoding="utf-8")
+        assert KbIndex(load_kb_dump(path)).get_record("t").redirects == ["a", "b"]
 
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -742,7 +832,9 @@ class TestDumpIO:
     def test_rank_at_int64_max_loads(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("t\t009223372036854775807\t\t\t\t\tc\n", encoding="utf-8")
-        assert [r.page_rank for r in load_kb_dump(path)] == [2**63 - 1]
+        kb = load_kb_dump(path)
+        assert list(kb.page_ranks) == [2**63 - 1]
+        assert KbIndex(kb).get_record("t").page_rank == 2**63 - 1
 
     def test_pipe_rejected_on_save(self, tmp_path):
         record = KnowledgeRecord(title="t", categories=["a|b"])

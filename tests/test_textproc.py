@@ -23,6 +23,7 @@ from kbcat.textproc import (
     TextResources,
     filter_nouns,
     is_noun,
+    lowercase_words,
     remove_stopwords,
     represent,
     split_words,
@@ -57,6 +58,38 @@ class TestTokenize:
         split_re = re.compile("[\\s" + re.escape(DELIMITER_CHARS) + "]+")
         text = "x" + "x".join(map(chr, range(sys.maxunicode + 1))) + "x"
         assert split_words(text) == [p for p in split_re.split(text) if p]
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+class TestLowercaseWords:
+    @pytest.mark.parametrize("text", [
+        # a capital sigma lowercases to a final sigma only at a word's end,
+        # so lowering "ΑΣ.Β" before the delimiter became a space gives "ασ"
+        "ΑΣ.Β", "ΑΣ Β", "ΑΣΒ", "(ΣΟΦΙΑ)|ΑΣ",
+        # a dotted capital I lowercases to two code points
+        "İ", "İstanbul.İ",
+        # the Kelvin sign lowercases to an ASCII k
+        "\u212a", "\u212aelvin|\u212a",
+        "", " | ", "Straße ǅemal K-Mart",
+    ])
+    def test_equals_lowercased_split(self, text):
+        assert lowercase_words(text) == [w.lower() for w in split_words(text)]
+
+    def test_every_whitespace_character_ends_a_word(self):
+        for space in _WHITESPACE:
+            text = f"ΑΣ{space}Β{space}İ{space}\u212a{space}Σ"
+            expected = [w.lower() for w in split_words(text)]
+            assert lowercase_words(text) == expected and len(expected) == 5, hex(ord(space))
+
+    def test_random_cased_text(self):
+        rng = random.Random(20261019)
+        alphabet = ["Σ", "Α", "İ", "\u212a", "ǅ", "ß", "a", "\u0301", "·", "'", ".",
+                    "|", "-", "\u200b", "ͅ", *_WHITESPACE]
+        for _ in range(2000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
+            assert lowercase_words(text) == [w.lower() for w in split_words(text)], text
 
 
 class TestRemoveStopwords:
