@@ -16,6 +16,7 @@ import hashlib
 import logging
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -121,11 +122,12 @@ def prepare_documents(
 
 
 def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
-                     cfg: ExperimentConfig):
+                     cfg: ExperimentConfig, counters: Counter):
     """Count the terms of every prepared document once, row i for the fold
     rows' document i; ``labels`` is the bool label matrix of those rows.
-    Each fold trains and predicts on row selections, and keeps its models
-    only when they are to be saved."""
+    Each fold trains and predicts on row selections, adds the number of its
+    models, their epochs and how many stopped uncertified to ``counters``,
+    and keeps its models only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
@@ -136,6 +138,10 @@ def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
         vocab = fit_vocabulary(x_train)
         models = train_one_vs_rest(vectorize(x_train, vocab), labels[train],
                                    categories, train_cfg)
+        for model in models.values():
+            counters["learn.binary_models"] += 1
+            counters["learn.epochs"] += len(model.objective_history)
+            counters["learn.uncertified"] += not model.certified
         pred = predict(models, vectorize(counts[test], vocab), mode, categories)
         return labels[test], pred, models if cfg.save_models else None
 
@@ -181,12 +187,13 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
         index = stage("index", lambda: KbIndex(load_kb_dump(cfg.kb_dump)))
 
     prepared = stage("prepare", lambda: prepare_documents(admitted, cfg, index, resources))
+    counters: Counter = Counter()
 
     def evaluate():
         folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"
                  else split_fold(admitted))
         labels = label_matrix([d.labels for d in admitted], categories)
-        runner = make_fold_runner(prepared, labels, categories, cfg)
+        runner = make_fold_runner(prepared, labels, categories, cfg, counters)
         return run_folds(folds, runner, categories)
 
     evaluated = stage("evaluate", evaluate)
@@ -194,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     rows = run_rows(evaluated, cv=cv is not None)
     micro, macro = headline_scores(dict(rows))
 
-    manifest = build_manifest(cfg, name, eval_mode, timings)
+    manifest = build_manifest(cfg, name, eval_mode, timings, counters)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         stage("report", lambda: _write_artifacts(
@@ -207,7 +214,8 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
 
 
 def build_manifest(
-    cfg: ExperimentConfig, name: str, eval_mode: str, timings: dict[str, float]
+    cfg: ExperimentConfig, name: str, eval_mode: str, timings: dict[str, float],
+    counters: Counter,
 ) -> dict[str, str]:
     manifest: dict[str, str] = {
         "toolkit_version": __version__,
@@ -223,6 +231,8 @@ def build_manifest(
             manifest[f"checksum.{key}"] = _sha256_path(Path(value))
     for stage_name, seconds in timings.items():
         manifest[f"timing.{stage_name}"] = f"{seconds:.3f}"
+    for counter, value in counters.items():
+        manifest[f"count.{counter}"] = str(value)
     for key, value in config_to_dict(cfg).items():
         manifest[f"config.{key}"] = value
     return manifest

@@ -11,12 +11,25 @@ The bias is recovered by exact one-dimensional minimization of the hinge
 sum, and the duality gap certifies how far the incumbent is from the
 optimum. The procedure is deterministic: no randomness is consumed.
 Every category trains on the fold's one CSR matrix from ``vectorize``.
+
+The categories are independent binary problems. Past ``_GRAM_LIMIT``
+training points each model computes its Gram rows on demand and costs
+seconds, so on Linux with more than one CPU in the process's affinity set
+``train_one_vs_rest`` trains two or more categories in forked worker
+processes, one model a task. The workers inherit the matrix through the
+fork and run the same ``train_binary_svm``, so the models, and every
+output made from them, are byte-identical to the serial loop. The workers
+are joined before ``train_one_vs_rest`` returns; an exception in one
+reaches the caller, and a worker's warnings go to the stderr handler it
+inherited. Smaller training sets keep the serial loop, where a pool's
+start-up would cost more than the models.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,27 +215,63 @@ def train_binary_svm(
                        certified=certified, rel_gap=rel_gap)
 
 
+# the fold's training matrix in a worker process, set by the pool's
+# initializer from the matrix the fork copied
+_worker_X: sp.csr_matrix | None = None
+
+
+def _set_worker_matrix(X: sp.csr_matrix) -> None:
+    global _worker_X
+    _worker_X = X
+
+
+def _train_in_worker(y: list[int], cfg: TrainConfig | None) -> LinearModel:
+    return train_binary_svm(_worker_X, y, cfg)
+
+
 def train_one_vs_rest(
     X: sp.csr_matrix,
     labels: np.ndarray,
     categories: list[str] | tuple[str, ...],
     cfg: TrainConfig | None = None,
 ) -> dict[str, LinearModel]:
-    """One binary model per category, trained independently in category
-    order on the same matrix. ``labels`` is a bool matrix with a row per
-    row of ``X`` and a column per category; column j gives category j's
-    +1 rows. Categories with no positive example are skipped with a
-    warning and have no model.
+    """One binary model per category, trained independently on the same
+    matrix and returned in category order. ``labels`` is a bool matrix with
+    a row per row of ``X`` and a column per category; column j gives
+    category j's +1 rows. Categories with no positive example are skipped
+    with a warning and have no model.
+
+    Past ``_GRAM_LIMIT`` rows, with two or more categories to train and
+    more than one CPU in the affinity set, the models are trained in
+    forked worker processes (see the module docstring); they are the same
+    bits as the serial loop's.
     """
     if X.shape[0] != labels.shape[0]:
         raise ValueError("X and labels must have the same number of rows")
-    models: dict[str, LinearModel] = {}
+    names, targets = [], []
     for category, column in zip(categories, labels.T, strict=True):
         if not column.any():
             logger.warning("category %r has no positive examples; skipped", category)
             continue
-        models[category] = train_binary_svm(X, np.where(column, 1, -1).tolist(), cfg)
-    return models
+        names.append(category)
+        targets.append(np.where(column, 1, -1).tolist())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if X.shape[0] > _GRAM_LIMIT and cpus > 1 and len(targets) > 1:
+        # imported here so that runs on the serial path do not pay the
+        # memory of loading them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork hands X to the workers without pickling it; a task carries
+        # only its labels and the config
+        with ProcessPoolExecutor(min(len(targets), cpus),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_worker_matrix,
+                                 initargs=(X,)) as pool:
+            trained = list(pool.map(_train_in_worker, targets, [cfg] * len(targets)))
+    else:
+        trained = [train_binary_svm(X, y, cfg) for y in targets]
+    return dict(zip(names, trained))
 
 
 def decision_values(models: dict[str, LinearModel], X: sp.csr_matrix) -> np.ndarray:

@@ -3,8 +3,11 @@ knowledge-base sample, and the lexical resources the golden tests use."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from kbcat import learn
 from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
 from kbcat.kbindex import KbIndex, KnowledgeRecord
 from kbcat.textproc import EntityTag, Gazetteer, TaggedDocument
@@ -136,3 +139,14 @@ def retrieve(
                     title_term=title_term, min_rank=min_rank)
     [(_, out)] = strategy_outputs(doc, preset, index)
     return out
+
+
+@pytest.fixture()
+def forced_pool(monkeypatch):
+    """Make every one-vs-rest training of two or more categories use the
+    worker pool: no training set is within the Gram limit, and the
+    affinity set holds two CPUs."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the worker pool needs os.sched_getaffinity")
+    monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,11 @@ class TestRunExperiment:
                  for p in out.iterdir() if p.name != "manifest.txt"}
         assert found == self.GOLDEN_SHA256[preset, label_mode]
 
+    @pytest.mark.parametrize("preset, label_mode", sorted(GOLDEN_SHA256))
+    def test_forked_training_matches_golden_sha256(self, tmp_path, forced_pool,
+                                                   preset, label_mode):
+        self.test_cv_artifacts_match_golden_sha256(tmp_path, preset, label_mode)
+
     # the same for a ModApte split run of reuters90 (multi-label) on the
     # tests/synth.py documents written as one reut2-000.sgm, recorded
     # while split runs still had their own code path
@@ -297,6 +303,44 @@ class TestRunExperiment:
         assert any(k.startswith("checksum.") for k in manifest)
         assert any(k.startswith("timing.") for k in manifest)
 
+    @pytest.mark.parametrize("epochs", ["1", "1000"])
+    def test_learning_counters_sum_the_folds_models(self, tmp_path, monkeypatch,
+                                                    request, epochs):
+        from kbcat import experiment
+
+        fold_models = []
+
+        def recording(*args):
+            fold_models.append(original(*args))
+            return fold_models[-1]
+
+        original = experiment.train_one_vs_rest
+        monkeypatch.setattr(experiment, "train_one_vs_rest", recording)
+        synth.write_corpus_tree(synth.build_docs(), tmp_path / "corpus")
+        cfg = parse_config_text(_config_text(
+            tmp_path / "corpus", label_mode="multi", svm_max_epochs=epochs,
+            out_dir=tmp_path / "run"))
+        manifest = run_experiment(cfg).manifest
+        models = [m for fold in fold_models for m in fold.values()]
+        expected = {
+            "count.learn.binary_models": str(len(models)),
+            "count.learn.epochs": str(sum(len(m.objective_history) for m in models)),
+            "count.learn.uncertified": str(sum(not m.certified for m in models)),
+        }
+        assert {k: v for k, v in manifest.items() if k.startswith("count.")} == expected
+        # one epoch leaves some of synth's 16 models short of the tolerance
+        assert len(models) == 16
+        assert (expected["count.learn.uncertified"] != "0") == (epochs == "1")
+        lines = (tmp_path / "run" / "manifest.txt").read_text(encoding="utf-8")
+        assert "".join(f"{k} = {v}\n" for k, v in expected.items()) in lines
+
+        # the same counts when every fold's categories train in workers
+        monkeypatch.setattr(experiment, "train_one_vs_rest", original)
+        request.getfixturevalue("forced_pool")
+        forked = run_experiment(replace(cfg, out_dir=""))
+        assert {k: v for k, v in forked.manifest.items() if k.startswith("count.")} == \
+            expected
+
     def test_vocabulary_fitted_on_train_only(self, separable_corpus, monkeypatch):
         # hygiene: each fold's df counts exactly its training documents
         from collections import Counter
@@ -322,7 +366,8 @@ class TestRunExperiment:
         labels = label_matrix([d.labels for d in admitted], categories)
         _, terms = count_terms(tagged)
         folds = cv_folds(admitted, 4, cfg.seed)
-        run_folds(folds, make_fold_runner(tagged, labels, categories, cfg), categories)
+        run_folds(folds, make_fold_runner(tagged, labels, categories, cfg, Counter()),
+                  categories)
         for (train, _test), vocab in zip(folds, fitted, strict=True):
             train_df = Counter(t for i in train for t in set(document_terms(tagged[i])))
             assert dict(zip([terms[c] for c in vocab.columns], vocab.df.tolist())) == train_df
@@ -330,6 +375,8 @@ class TestRunExperiment:
     def test_category_without_model_is_never_predicted(self, separable_corpus):
         # "rare" labels only a test document of a multi-label fold: it gets
         # no model, an all-False prediction column and one false negative
+        from collections import Counter
+
         from kbcat.evaluation import accumulate, label_matrix, run_folds
         from kbcat.experiment import make_fold_runner
         cfg = parse_config_text(_config_text(separable_corpus, label_mode="multi",
@@ -338,9 +385,11 @@ class TestRunExperiment:
         words = ["blue", "blue", "red", "red", "blue", "red"]
         labels = label_matrix([{w} for w in words[:4]] + [{"blue", "rare"}, {"red"}],
                               categories)
+        counters = Counter()
         runner = make_fold_runner([make_tagged([w, "sky"]) for w in words], labels,
-                                  categories, cfg)
+                                  categories, cfg, counters)
         gold, pred, models = runner([0, 1, 2, 3], [4, 5])
+        assert counters["learn.binary_models"] == 2
         assert list(models) == ["blue", "red"]
         assert not pred[:, 1].any()
         assert accumulate(gold, pred)[1].tolist() == [0, 0, 1]
@@ -718,6 +767,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    def test_worker_error_is_one_error_line(self, separable_corpus, tmp_path,
+                                            forced_pool, monkeypatch, capsys):
+        import os
+
+        from kbcat import learn
+
+        parent = os.getpid()
+
+        def failing(X, y, cfg=None):
+            if os.getpid() == parent:
+                return original(X, y, cfg)
+            raise ValueError("trainer failed in a worker")
+
+        original = learn.train_binary_svm
+
+        monkeypatch.setattr(learn, "train_binary_svm", failing)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(_config_text(separable_corpus), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == ("error: stage 'evaluate' failed: pipeline "
+                                           "failed in fold 0: trainer failed in a worker\n")
 
     def test_preset_override_is_validated(self, separable_corpus, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

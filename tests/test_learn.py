@@ -3,7 +3,10 @@ margin and determinism properties, one-vs-rest, decision values and
 prediction."""
 
 import logging
+import multiprocessing
+import os
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -261,6 +264,106 @@ class TestOneVsRest:
     def test_row_count_must_match_labelsets(self):
         with pytest.raises(ValueError):
             train_one_vs_rest(_csr([[1.0], [-1.0]]), label_matrix([{"a"}], ["a"]), ["a"])
+
+
+def _multicategory_problem(seed: int, categories: int = 5):
+    """A sparse non-negative matrix and a bool label matrix in which
+    category 1 has no positive row."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(50, 30, density=0.3, format="csr", random_state=seed)
+    labels = rng.random((50, categories)) < 0.3
+    labels[:, 1] = False
+    labels[0, :] = [j != 1 for j in range(categories)]
+    return X, labels, [f"c{j}" for j in range(categories)]
+
+
+@pytest.fixture()
+def trainer_pids(monkeypatch):
+    """The process id of every ``train_binary_svm`` call, kept on the model
+    it returns (a forked worker inherits the patched module)."""
+    def recording(X, y, cfg=None):
+        model = original(X, y, cfg)
+        model.trained_in = os.getpid()
+        return model
+
+    original = learn.train_binary_svm
+    monkeypatch.setattr(learn, "train_binary_svm", recording)
+    return lambda models: {m.trained_in for m in models.values()}
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that runs past 60 s instead of letting it hang."""
+    def expire(*_):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedOneVsRest:
+    """Past ``_GRAM_LIMIT`` rows, with two or more categories to train and
+    more than one CPU, categories train in forked worker processes."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(c=50.0, max_epochs=2)])
+    def test_models_bit_identical_to_serial(self, forced_pool, trainer_pids, seed, cfg):
+        X, labels, categories = _multicategory_problem(seed)
+        models = train_one_vs_rest(X, labels, categories, cfg)
+        assert not multiprocessing.active_children()
+        assert os.getpid() not in trainer_pids(models)
+        assert list(models) == [c for j, c in enumerate(categories) if j != 1]
+        for j, category in enumerate(categories):
+            if j == 1:
+                continue
+            model = models[category]
+            alone = train_binary_svm(X, np.where(labels[:, j], 1, -1).tolist(), cfg)
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.bias.hex() == alone.bias.hex()
+            assert model.objective_history == alone.objective_history
+            assert model.certified == alone.certified
+            assert model.rel_gap.hex() == alone.rel_gap.hex()
+
+    def test_worker_exception_reaches_caller(self, forced_pool, monkeypatch):
+        parent = os.getpid()
+
+        def failing(X, y, cfg=None):
+            if os.getpid() == parent:
+                return train_binary_svm(X, y, cfg)
+            raise ValueError(f"no model for {sum(v > 0 for v in y)} positives")
+
+        monkeypatch.setattr(learn, "train_binary_svm", failing)
+        X, labels, categories = _multicategory_problem(0)
+        with pytest.raises(ValueError, match="no model for"):
+            train_one_vs_rest(X, labels, categories)
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_is_an_error(self, forced_pool, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setattr(learn, "train_binary_svm", lambda X, y, cfg=None: os._exit(3))
+        X, labels, categories = _multicategory_problem(0)
+        with pytest.raises(BrokenProcessPool):
+            train_one_vs_rest(X, labels, categories)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("gram_limit, cpus, categories", [
+        (0, {0, 1}, 2),     # one category with a positive row
+        (0, {0}, 5),        # one CPU in the affinity set
+        (10**9, {0, 1}, 5),  # a training set within the Gram limit
+    ])
+    def test_stays_serial(self, monkeypatch, trainer_pids, gram_limit, cpus, categories):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("the worker pool needs os.sched_getaffinity")
+        monkeypatch.setattr(learn, "_GRAM_LIMIT", gram_limit)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        X, labels, names = _multicategory_problem(0, categories)
+        models = train_one_vs_rest(X, labels, names)
+        assert trainer_pids(models) == {os.getpid()}
 
 
 def _sequential_decision(model: LinearModel, cols, vals) -> float:

@@ -59,6 +59,19 @@ class TestTokenize:
         text = "x" + "x".join(map(chr, range(sys.maxunicode + 1))) + "x"
         assert split_words(text) == [p for p in split_re.split(text) if p]
 
+    def test_bytes_table_splits_as_str_translate(self):
+        # the delimiters are replaced in the UTF-8 bytes; the reference
+        # replaces them in the characters
+        table = str.maketrans(dict.fromkeys(DELIMITER_CHARS, " "))
+        rng = random.Random(15)
+        alphabet = [*DELIMITER_CHARS, *_WHITESPACE, "a", "Z", "é", "Σ", "ς", "İ",
+                    "\U0001F600", "\U00010400", "\ud800", "\udfff", "\ud83d", "\ude00"]
+        for _ in range(20000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 16)))
+            assert split_words(text) == text.translate(table).split(), ascii(text)
+            assert lowercase_words(text) == text.translate(table).lower().split(), \
+                ascii(text)
+
 
 _WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
