@@ -12,17 +12,25 @@ sum, and the duality gap certifies how far the incumbent is from the
 optimum. The procedure is deterministic: no randomness is consumed.
 Every category trains on the fold's one CSR matrix from ``vectorize``.
 
+Past ``_GRAM_LIMIT`` training points a model computes its Gram rows on
+demand, with one CSR matvec each, and keeps the most recently used ones in
+an LRU cache of up to ``_GRAM_LIMIT**2`` floats, the dense Gram's own
+budget. A cached row is the array the matvec returned, so the rows, and the
+model, are the same floats as without the cache. The cache belongs to one
+``train_binary_svm`` call: it lives in the worker process that trains the
+model when the pool below runs, and in the calling process otherwise.
+
 The categories are independent binary problems. Past ``_GRAM_LIMIT``
-training points each model computes its Gram rows on demand and costs
-seconds, so on Linux with more than one CPU in the process's affinity set
-``train_one_vs_rest`` trains two or more categories in forked worker
-processes, one model a task. The workers inherit the matrix through the
-fork and run the same ``train_binary_svm``, so the models, and every
-output made from them, are byte-identical to the serial loop. The workers
-are joined before ``train_one_vs_rest`` returns; an exception in one
-reaches the caller, and a worker's warnings go to the stderr handler it
-inherited. Smaller training sets keep the serial loop, where a pool's
-start-up would cost more than the models.
+training points a model costs far more than a pool's start-up, so on Linux
+with more than one CPU in the process's affinity set ``train_one_vs_rest``
+trains two or more categories in forked worker processes, one model a task.
+The workers inherit the matrix through the fork and run the same
+``train_binary_svm``, so the models, and every output made from them, are
+byte-identical to the serial loop. The workers are joined before
+``train_one_vs_rest`` returns; an exception in one reaches the caller, and
+a worker's warnings go to the stderr handler it inherited. Smaller training
+sets keep the serial loop, where a pool's start-up would cost more than the
+models.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +47,9 @@ import scipy.sparse as sp
 logger = logging.getLogger(__name__)
 
 _KKT_EPS = 1e-8
-# precompute the Gram matrix up to this many points (a memory bound: about
-# 33 MB of float64 at 2,048); past it each row is computed when needed
+# precompute the Gram matrix up to this many points; past it each row is
+# computed when needed and each model keeps its recently used rows. Both are
+# bounded by _GRAM_LIMIT**2 floats (about 33.5 MB of float64 at 2,048)
 _GRAM_LIMIT = 2048
 
 
@@ -121,15 +131,25 @@ def train_binary_svm(
         # scatter x_i into a dense work vector and take one CSR matvec: like
         # the sparse product behind the precomputed Gram, it sums each
         # output over that row's stored columns in ascending order, so the
-        # rows are bit-identical to the Gram's
+        # rows are bit-identical to the Gram's. The LRU cache holds at least
+        # a step's pair of rows, and a hit returns the array the matvec made
         work = np.zeros(dim)
+        cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        cap = max(2, _GRAM_LIMIT**2 // n)
 
         def gram_row(i: int) -> np.ndarray:
+            row = cache.get(i)
+            if row is not None:
+                cache.move_to_end(i)
+                return row
             start, end = X.indptr[i], X.indptr[i + 1]
             cols = X.indices[start:end]
             work[cols] = X.data[start:end]
             row = X @ work
             work[cols] = 0.0
+            if len(cache) >= cap:
+                cache.popitem(last=False)
+            cache[i] = row
             return row
 
     alpha = np.zeros(n)

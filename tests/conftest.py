@@ -145,7 +145,9 @@ def retrieve(
 def forced_pool(monkeypatch):
     """Make every one-vs-rest training of two or more categories use the
     worker pool: no training set is within the Gram limit, and the
-    affinity set holds two CPUs."""
+    affinity set holds two CPUs. A limit of 0 also sets each model's Gram
+    row cache to its 2-row floor, so the workers train on the evicting
+    path."""
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("the worker pool needs os.sched_getaffinity")
     monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)

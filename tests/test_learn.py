@@ -116,9 +116,37 @@ def _random_sparse_problem(seed: int, n: int = 80, dim: int = 40):
     return sp.csr_matrix(np.array(rows)), y
 
 
+class _MatvecCountingCSR(sp.csr_matrix):
+    """A CSR matrix that records the operand of each matrix-vector product:
+    the trainer computes one Gram row per product past the Gram limit."""
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            self.operands.append(other.tobytes())
+        return super().__matmul__(other)
+
+
+def _train_counting(X, y, cfg):
+    """Train on a counting copy of ``X``; the model and the operands of
+    its matvecs, one per Gram row computed."""
+    counting = _MatvecCountingCSR(X)
+    counting.operands = []
+    return train_binary_svm(counting, y, cfg), counting.operands
+
+
+def _assert_same_model(found: LinearModel, expected: LinearModel):
+    assert found.weights.tobytes() == expected.weights.tobytes()
+    assert found.bias.hex() == expected.bias.hex()
+    assert found.objective_history == expected.objective_history
+    assert found.certified == expected.certified
+    assert found.rel_gap.hex() == expected.rel_gap.hex()
+
+
 class TestOnDemandGramRows:
     """Past ``_GRAM_LIMIT`` the trainer computes each Gram row when it needs
-    it; a limit of 0 sends every problem down that path."""
+    it and keeps the recently used ones in an LRU cache of
+    ``max(2, _GRAM_LIMIT**2 // n)`` rows. A limit of 0 sends every problem
+    down that path with the cache at its 2-row floor."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
@@ -150,6 +178,29 @@ class TestOnDemandGramRows:
         assert abs(found - oracle_obj) / oracle_obj <= 1e-3, (
             f"fixture {idx}: found {found}, oracle {oracle_obj}"
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    def test_row_cache_keeps_the_model_and_saves_matvecs(self, monkeypatch, seed, c):
+        X, y = _random_sparse_problem(seed)
+        cfg = TrainConfig(c=c)
+        precomputed = train_binary_svm(X, y, cfg)
+        if c >= 1.0:
+            assert len(precomputed.objective_history) > 1
+        # on 80 rows: caches of 2 rows (the floor), 20 and 78
+        operands = {}
+        for limit in (0, 40, 79):
+            monkeypatch.setattr(learn, "_GRAM_LIMIT", limit)
+            model, operands[limit] = _train_counting(X, y, cfg)
+            _assert_same_model(model, precomputed)
+        asked = set(operands[0])
+        # an LRU cache that holds more rows never computes more of them;
+        # the 20-row cache evicts rows it is asked for again
+        assert len(operands[0]) >= len(operands[40]) > len(asked)
+        # 78 rows hold every row these problems ask for: each is computed
+        # exactly once
+        assert len(asked) <= 78
+        assert sorted(operands[79]) == sorted(asked)
 
 
 class TestTrainingProperties:
