@@ -38,11 +38,11 @@ class ReutersParseError(ValueError):
     """Malformed SGML; the message names the byte offset of the problem."""
 
 
-_TAG_RE = re.compile(
-    r"<(?P<close>/?)(?P<name>[A-Za-z][-A-Za-z0-9]*)"
+# a declaration (``<!DOCTYPE ...>``, no ``name`` group) or a start or end tag
+_MARKUP_RE = re.compile(
+    r"<![^>]*>|<(?P<close>/?)(?P<name>[A-Za-z][-A-Za-z0-9]*)"
     r"(?P<attrs>(?:\s+[A-Za-z]+\s*=\s*\"[^\"]*\")*)\s*>"
 )
-_DECL_RE = re.compile(r"<![^>]*>")
 _ATTR_RE = re.compile(r"([A-Za-z]+)\s*=\s*\"([^\"]*)\"")
 _ENTITY_RE = re.compile(r"&(#\d+|[A-Za-z][A-Za-z0-9]*);")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
@@ -50,43 +50,40 @@ _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _KNOWN_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
-def _decode_entities(text: str) -> str:
-    def repl(m: re.Match) -> str:
-        name = m.group(1)
-        if name.startswith("#"):
-            # past U+10FFFF (int() refuses very long digit strings) or a surrogate
-            digits = name[1:].lstrip("0") or "0"
-            if len(digits) <= 7:
-                code = int(digits)
-                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
-                    return chr(code)
-        elif name.lower() in _KNOWN_ENTITIES:
-            return _KNOWN_ENTITIES[name.lower()]
-        logger.warning("unknown SGML entity &%s; kept verbatim", name)
-        return m.group(0)
-
-    return _ENTITY_RE.sub(repl, text)
+def _decode_entity(m: re.Match) -> str:
+    name = m.group(1)
+    if name.startswith("#"):
+        # past U+10FFFF (int() refuses very long digit strings) or a surrogate
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) <= 7:
+            code = int(digits)
+            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                return chr(code)
+    elif name.lower() in _KNOWN_ENTITIES:
+        return _KNOWN_ENTITIES[name.lower()]
+    logger.warning("unknown SGML entity &%s; kept verbatim", name)
+    return m.group(0)
 
 
 def _clean_text(text: str) -> str:
-    return _CONTROL_RE.sub(" ", _decode_entities(text)).strip()
+    return _CONTROL_RE.sub(" ", _ENTITY_RE.sub(_decode_entity, text)).strip()
 
 
-def load_reuters_sgml(data: bytes | str) -> list[RawDocument]:
-    """Parse one Reuters-21578 Distribution 1.0 SGML file.
+def load_reuters_sgml(data: bytes) -> list[RawDocument]:
+    """Parse the bytes of one Reuters-21578 Distribution 1.0 SGML file in
+    one pass over its markup.
 
     Yields one document per REUTERS element. Labels come from the D
     children of TOPICS; the split hint follows the ModApte rule
-    (LEWISSPLIT plus TOPICS attribute). Character entities are decoded;
-    unknown ones, and numeric references to no character (past U+10FFFF
-    or a surrogate), are kept verbatim with a warning.
+    (LEWISSPLIT plus TOPICS attribute). The text between two pieces of
+    markup is kept inside TITLE, BODY and a D of TOPICS; a declaration
+    (``<!...>``) is skipped and a ``<`` that starts no markup is text.
+    Bytes are read as latin-1, so a character offset is a byte offset.
+    Character entities are decoded; unknown ones, and numeric references
+    to no character (past U+10FFFF or a surrogate), are kept verbatim with
+    a warning.
     """
-    if isinstance(data, bytes):
-        # latin-1 keeps byte offsets equal to character offsets
-        text = data.decode("latin-1")
-    else:
-        text = data
-
+    text = data.decode("latin-1")
     docs: list[RawDocument] = []
     stack: list[str] = []
     buffers: dict[str, list[str]] = {}
@@ -94,42 +91,18 @@ def load_reuters_sgml(data: bytes | str) -> list[RawDocument]:
     topics: list[str] = []
 
     pos = 0
-    n = len(text)
-    literal: list[str] = []
-
-    def flush_literal() -> None:
-        if literal and stack:
-            name = stack[-1]
-            if name in ("TITLE", "BODY") or (
-                name == "D" and len(stack) >= 2 and stack[-2] == "TOPICS"
-            ):
-                buffers.setdefault(name, []).append("".join(literal))
-        literal.clear()
-
-    while pos < n:
-        lt = text.find("<", pos)
-        if lt < 0:
-            literal.append(text[pos:])
-            break
-        if lt > pos:
-            literal.append(text[pos:lt])
-
-        decl = _DECL_RE.match(text, lt)
-        if decl:
-            pos = decl.end()
+    for markup in _MARKUP_RE.finditer(text):
+        if stack and (stack[-1] in ("TITLE", "BODY") or stack[-2:] == ["TOPICS", "D"]):
+            buffers.setdefault(stack[-1], []).append(text[pos:markup.start()])
+        pos = markup.end()
+        name = markup.group("name")
+        if name is None:  # a declaration: the text runs on across it
             continue
-        tag = _TAG_RE.match(text, lt)
-        if tag is None:
-            literal.append("<")
-            pos = lt + 1
-            continue
-
-        flush_literal()
-        name = tag.group("name").upper()
-        if tag.group("close"):
+        name = name.upper()
+        if markup.group("close"):
             if not stack or stack[-1] != name:
                 raise ReutersParseError(
-                    f"unexpected closing tag </{name}> at byte {lt}"
+                    f"unexpected closing tag </{name}> at byte {markup.start()}"
                     + (f" (open element: {stack[-1]})" if stack else "")
                 )
             stack.pop()
@@ -146,13 +119,12 @@ def load_reuters_sgml(data: bytes | str) -> list[RawDocument]:
             stack.append(name)
             if name == "REUTERS":
                 doc_attrs = dict(
-                    (k.upper(), v) for k, v in _ATTR_RE.findall(tag.group("attrs"))
+                    (k.upper(), v) for k, v in _ATTR_RE.findall(markup.group("attrs"))
                 )
-        pos = tag.end()
 
     if stack:
         raise ReutersParseError(
-            f"unclosed element <{stack[-1]}> at byte {n} (end of input)"
+            f"unclosed element <{stack[-1]}> at byte {len(text)} (end of input)"
         )
     return docs
 

@@ -144,12 +144,13 @@ def cv_folds(docs: list[RawDocument], k: int, seed: int) -> list[Fold]:
     """k stratified folds, each testing on its part and training on the
     rest; a fold without test documents is an error before any run."""
     fold_of = make_folds(docs, k, seed)
-    folds = [([i for i, f in enumerate(fold_of) if f != fold],
-              [i for i, f in enumerate(fold_of) if f == fold]) for fold in range(k)]
-    for fold, (_train, test) in enumerate(folds):
-        if not test:
-            raise ValueError(f"cv fold {fold} of {k} has no test documents")
-    return folds
+    used = set(fold_of)
+    if len(used) < k:
+        # the first empty fold is at most len(docs), however large k is
+        empty = next(fold for fold in range(k) if fold not in used)
+        raise ValueError(f"cv fold {empty} of {k} has no test documents")
+    return [([i for i, f in enumerate(fold_of) if f != fold],
+             [i for i, f in enumerate(fold_of) if f == fold]) for fold in range(k)]
 
 
 def split_fold(docs: list[RawDocument]) -> list[Fold]:

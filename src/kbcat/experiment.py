@@ -47,8 +47,7 @@ from .evaluation import (
 from .features import count_terms, fit_vocabulary, vectorize
 from .kbindex import KbIndex, load_kb_dump
 from .learn import TrainConfig, predict, save_models, train_one_vs_rest
-from .textproc import (Gazetteer, TaggedDocument, TextResources, load_noun_lexicon,
-                       load_stoplist)
+from .textproc import Gazetteer, TaggedDocument, TextResources, load_word_list
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +71,9 @@ class ExperimentResult:
 
 def load_resources(cfg: ExperimentConfig) -> TextResources:
     return TextResources(
-        stopwords=load_stoplist(cfg.stoplist),
+        stopwords=load_word_list(cfg.stoplist),
         gazetteer=Gazetteer.load(cfg.gazetteer),
-        nouns=load_noun_lexicon(cfg.noun_lexicon),
+        nouns=load_word_list(cfg.noun_lexicon),
     )
 
 
@@ -148,14 +147,21 @@ def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
     return run_fold
 
 
+def _hash_file(path: Path, digest) -> None:
+    """Feed a file to ``digest`` in 1 MiB blocks, never reading it whole."""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+
+
 def _sha256_path(path: Path) -> str:
     digest = hashlib.sha256()
     if path.is_dir():
         for child in sorted(p for p in path.rglob("*") if p.is_file()):
             digest.update(str(child.relative_to(path)).encode())
-            digest.update(child.read_bytes())
+            _hash_file(child, digest)
     else:
-        digest.update(path.read_bytes())
+        _hash_file(path, digest)
     return digest.hexdigest()
 
 

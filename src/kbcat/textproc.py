@@ -143,21 +143,20 @@ def tag_entities(words: list[str], gaz: Gazetteer) -> list[EntityTag]:
     return tags
 
 
-def is_noun(word: str, position: int, lexicon: Mapping[str, bool]) -> bool:
-    """Lexicon verdict when present, else suffix heuristic, else
-    capitalized-mid-sentence rule (``position`` counts every word of the
-    text from 0, stop words included)."""
+def is_noun(word: str, position: int, nouns: set[str]) -> bool:
+    """A word in the noun lexicon (lowercase) or with a noun suffix is a
+    noun; any other word is one when capitalized mid-sentence
+    (``position`` counts every word of the text from 0, stop words
+    included)."""
     lower = word.lower()
-    if lower in lexicon:
-        return lexicon[lower]
-    if any(lower.endswith(suf) for suf in NOUN_SUFFIXES):
+    if lower in nouns or lower.endswith(NOUN_SUFFIXES):
         return True
     return position > 0 and word[:1].isupper()
 
 
-def filter_nouns(words: list[str], lexicon: Mapping[str, bool]) -> list[str]:
+def filter_nouns(words: list[str], nouns: set[str]) -> list[str]:
     """The nouns of a text's full word list; a word's index is its position."""
-    return [w for i, w in enumerate(words) if is_noun(w, i, lexicon)]
+    return [w for i, w in enumerate(words) if is_noun(w, i, nouns)]
 
 
 def remove_stopwords(words: list[str], stoplist: set[str]) -> list[str]:
@@ -167,11 +166,12 @@ def remove_stopwords(words: list[str], stoplist: set[str]) -> list[str]:
 
 @dataclass
 class TextResources:
-    """Immutable bundle of the lexical resources the representations need."""
+    """Immutable bundle of the lexical resources the representations need;
+    the stop words and the noun lexicon are sets of lowercase words."""
 
     stopwords: set[str] | None = None
     gazetteer: Gazetteer | None = None
-    nouns: Mapping[str, bool] = field(default_factory=dict)
+    nouns: set[str] = field(default_factory=set)
 
 
 def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocument:
@@ -203,8 +203,9 @@ def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocu
     return TaggedDocument(tokens=words, tags=tags)
 
 
-def load_stoplist(path: str | Path) -> set[str]:
-    """One word per line; lowercased, blank lines and # comments skipped."""
+def load_word_list(path: str | Path) -> set[str]:
+    """A stop list or noun lexicon: one word per line, lowercased; blank
+    lines and # comments skipped."""
     words = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -212,17 +213,6 @@ def load_stoplist(path: str | Path) -> set[str]:
             if word and not word.startswith("#"):
                 words.add(word)
     return words
-
-
-def load_noun_lexicon(path: str | Path) -> dict[str, bool]:
-    """One noun per line; every listed word is classified as a noun."""
-    nouns: dict[str, bool] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                nouns[word] = True
-    return nouns
 
 
 def stopwords_path() -> Path:

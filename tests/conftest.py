@@ -26,13 +26,7 @@ SAMPLE_STOPLIST = {
     "my", "all", "e",
 }
 
-SAMPLE_NOUNS = {
-    "boss": True,
-    "thugs": True,
-    "opinions": True,
-    "mine": True,
-    "uunet": True,
-}
+SAMPLE_NOUNS = {"boss", "thugs", "opinions", "mine", "uunet"}
 
 SAMPLE_GAZETTEER_ENTRIES = {
     "Reno": EntityTag.PERSON,

@@ -1,6 +1,7 @@
 """Configuration parsing, experiment orchestration, artifacts, and the CLI."""
 
 import hashlib
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from kbcat.enrich import Strategy
 from kbcat.evaluation import CvResult, MetricReport
 from kbcat.experiment import (
     StageError,
+    _sha256_path,
     format_metrics_tsv,
     headline_scores,
     improvement_table_from_files,
@@ -425,6 +427,24 @@ def _write_metrics(path: Path, rows: dict[str, tuple[float, ...]]) -> Path:
               for label, values in rows.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+class TestChecksums:
+    def test_file_past_one_block_hashes_like_its_bytes(self, tmp_path):
+        data = random.Random(5).randbytes((5 << 20) // 2)  # 2.5 blocks of 1 MiB
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(data)
+        assert _sha256_path(path) == hashlib.sha256(data).hexdigest()
+
+    def test_tree_digest_pinned(self, tmp_path):
+        # relative path then contents, file by file in path order; the digest
+        # pins that format, so a corpus keeps its manifest checksum
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.txt").write_bytes(b"alpha\n")
+        (tmp_path / "sub" / "b.bin").write_bytes(bytes(range(256)))
+        (tmp_path / "sub" / "c").write_bytes(b"")
+        assert _sha256_path(tmp_path) == (
+            "45ce31be036bb76e1fd4f4c5672d4dc95ca9fcd4709850c038b678bad6ee963f")
 
 
 class TestImprovementTable:

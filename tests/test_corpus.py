@@ -1,6 +1,7 @@
 """Reuters SGML parsing, 20-Newsgroups loading, subsets, and folds."""
 
 import logging
+import random
 
 import pytest
 
@@ -112,6 +113,113 @@ class TestReutersSgml:
     def test_doctype_skipped(self):
         text = '<!DOCTYPE lewis SYSTEM "lewis.dtd">\n' + SNIPPET
         assert len(load_reuters_sgml(text.encode())) == 1
+
+
+def _body(text: str) -> bytes:
+    return SNIPPET.replace("<BODY>b</BODY>", f"<BODY>{text}</BODY>").encode("latin-1")
+
+
+class TestReutersSgmlText:
+    """Which text the reader keeps, and how."""
+
+    @pytest.mark.parametrize("text", ["a < b", "<3", "<<", "x <<3 y", "a<", "< /BODY"])
+    def test_stray_lt_is_text(self, text):
+        assert load_reuters_sgml(_body(text))[0].body == text
+
+    def test_declaration_inside_body_joins_the_text_around_it(self):
+        assert load_reuters_sgml(_body("ab<!-- c -->cd<!x>e"))[0].body == "abcde"
+
+    def test_lowercase_tags(self):
+        text = ('<reuters lewissplit="train" topics="yes" newid="1">'
+                "<topics><d>earn</d></topics>"
+                "<text><title>t</title><body>b</body></text></reuters>")
+        assert load_reuters_sgml(text.encode()) == load_reuters_sgml(SNIPPET.encode())
+
+    def test_text_outside_title_body_and_topics_d_dropped(self):
+        text = ('<REUTERS NEWID="4">r<DATE>d</DATE><TOPICS>t<D>earn</D>u</TOPICS>'
+                "<PLACES><D>usa</D></PLACES><TEXT>v<TITLE>x</TITLE>w"
+                "<DATELINE>y</DATELINE><BODY>b<D>z</D>c</BODY></TEXT></REUTERS>")
+        doc = load_reuters_sgml(text.encode())[0]
+        assert (doc.title, doc.body, doc.labels) == ("x", "bc", {"earn"})
+
+    def test_two_titles_concatenated(self):
+        text = SNIPPET.replace("<TITLE>t</TITLE>", "<TITLE>one </TITLE><TITLE>two</TITLE>")
+        assert load_reuters_sgml(text.encode())[0].title == "one two"
+
+    def test_latin1_byte(self):
+        assert load_reuters_sgml(_body("caf\xe9"))[0].body == "caf\u00e9"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closing_tag_error_names_the_byte_of_its_lt(self, seed):
+        rng = random.Random(seed)
+        filler = "".join(rng.choice("ab <&;\n\xe9") for _ in range(rng.randrange(200)))
+        data = _body(filler + "</TITLE>")
+        offset = data.index(b"</TITLE>", data.index(b"<BODY>"))
+        with pytest.raises(ReutersParseError) as err:
+            load_reuters_sgml(data)
+        assert str(err.value) == (
+            f"unexpected closing tag </TITLE> at byte {offset} (open element: BODY)")
+
+
+_WORDS = ["oil", "Q3", "caf\xe9", "s&p", "<", "<5", "a > b", '"x"', "&", "A\x01B"]
+
+
+def _text(rng: random.Random) -> str:
+    return " ".join(rng.choice(_WORDS) for _ in range(rng.randrange(6)))
+
+
+def _escape(rng: random.Random, text: str) -> str:
+    """SGML for ``text``: ``&`` always escaped, ``<`` and ``\xe9`` sometimes."""
+    out = []
+    for ch in text:
+        if ch == "&":
+            out.append(rng.choice(["&amp;", "&#38;", "&AMP;"]))
+        elif ch in "<\xe9" and rng.random() < 0.5:
+            out.append(rng.choice(["&lt;", "&#60;"]) if ch == "<" else "&#233;")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _random_document(rng: random.Random) -> tuple[str, RawDocument]:
+    attrs = {"LEWISSPLIT": rng.choice(["TRAIN", "TEST", "NOT-USED", "train"]),
+             "TOPICS": rng.choice(["YES", "NO", "BYPASS", "yes"]),
+             "CGISPLIT": "TRAINING-SET"}
+    if rng.random() < 0.8:
+        attrs["NEWID"] = str(rng.randrange(10**5))
+    if rng.random() < 0.5:
+        attrs["OLDID"] = str(rng.randrange(10**5))
+    keys = list(attrs)
+    rng.shuffle(keys)
+    attr_text = "".join(
+        rng.choice([" ", "\n  "]) + (k if rng.random() < 0.8 else k.lower())
+        + rng.choice(["=", " = "]) + f'"{attrs[k]}"' for k in keys)
+    topics = [rng.choice(["earn", "acq", "s&p", "crude", "caf\xe9"])
+              for _ in range(rng.randrange(4))]
+    title, body = _text(rng), _text(rng)
+    sgml = (f"<REUTERS{attr_text}>\n<DATE>1-MAR-1987</DATE>\n<TOPICS>"
+            + "".join(f"<D>{_escape(rng, t)}</D>" for t in topics)
+            + "</TOPICS>\n<PLACES><D>usa</D></PLACES>\n<TEXT>&#2;\n"
+            + (f"<TITLE>{_escape(rng, title)}</TITLE>\n" if title or rng.random() < 0.5 else "")
+            + "<DATELINE>LONDON, March 1 - </DATELINE>"
+            + (f"<BODY>\n{_escape(rng, body)}\n&#3;</BODY>" if body or rng.random() < 0.5 else "")
+            + "</TEXT>\n</REUTERS>\n")
+    has_topics = attrs["TOPICS"].upper() == "YES"
+    hint = {"TRAIN": SplitHint.TRAIN, "TEST": SplitHint.TEST}.get(attrs["LEWISSPLIT"].upper())
+    doc = RawDocument(
+        id=attrs.get("NEWID") or attrs.get("OLDID") or "",
+        title=title.replace("\x01", " "), body=body.replace("\x01", " "),
+        labels=set(topics), split_hint=hint if hint and has_topics else SplitHint.UNSPLIT)
+    return sgml, doc
+
+
+def test_random_documents_parse_back_to_their_fields():
+    rng = random.Random(21578)
+    for _ in range(100):
+        pairs = [_random_document(rng) for _ in range(rng.randint(1, 9))]
+        data = ('<!DOCTYPE lewis SYSTEM "lewis.dtd">\n'
+                + "".join(sgml for sgml, _ in pairs)).encode("latin-1")
+        assert load_reuters_sgml(data) == [doc for _, doc in pairs]
 
 
 class TestLoad20Newsgroups:

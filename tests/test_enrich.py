@@ -274,7 +274,7 @@ def _mini_index() -> KbIndex:
 
 
 def _resources() -> TextResources:
-    return TextResources(stopwords={"the", "of", "in"}, gazetteer=None, nouns={})
+    return TextResources(stopwords={"the", "of", "in"}, gazetteer=None, nouns=set())
 
 
 class TestApplyPreset:

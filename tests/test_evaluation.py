@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -268,6 +269,20 @@ class TestRunCv:
         with pytest.raises(ValueError, match="cv fold 2 of 5 has no test documents"):
             run_cv(docs, 5, seed=0, categories=["blue", "green", "red"], runner=runner)
         assert calls == []
+
+    def test_huge_k_rejected_before_any_fold_is_built(self):
+        # 4 strata of 25 documents fill folds 0-24 of 10**5; building every
+        # fold before looking for an empty one takes about 100 MB here
+        docs = [RawDocument(id=f"{cls}{i}", title="", body=cls, labels={cls})
+                for cls in ("a", "b", "c", "d") for i in range(25)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cv fold 25 of 100000 has no test documents"):
+                cv_folds(docs, 10**5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _split_docs() -> list[RawDocument]:

@@ -1,7 +1,8 @@
-"""Every top-level function and class in src/kbcat, and every public
-method, is referenced somewhere in src/kbcat: by a name, an attribute or
-an import. Code that only tests call is deleted rather than kept; a name
-that stays without a caller is on ALLOWED with the reason it stays."""
+"""Every top-level function, class and assigned name (a constant, a
+compiled pattern, a table) in src/kbcat, and every public method, is read
+somewhere in src/kbcat: by a name, an attribute or an import. Code that
+only tests use is deleted rather than kept; a name that stays without a
+reader is on ALLOWED with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -24,11 +25,17 @@ def _trees() -> dict[str, ast.Module]:
 
 
 def _definitions(trees: dict[str, ast.Module]) -> dict[str, str]:
-    """name -> where it is defined, for every top-level function and class
-    and every public method."""
+    """name -> where it is defined, for every top-level function, class and
+    assigned name and every public method."""
     found = {}
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            found[name.id] = f"{module}:{name.id}"
             if not isinstance(node, _DEFS):
                 continue
             found[node.name] = f"{module}:{node.name}"
@@ -43,7 +50,8 @@ def _references(trees: dict[str, ast.Module]) -> set[str]:
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            # an assignment's own target is no reader
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)

@@ -23,6 +23,7 @@ from kbcat.textproc import (
     TextResources,
     filter_nouns,
     is_noun,
+    load_word_list,
     lowercase_words,
     remove_stopwords,
     represent,
@@ -46,7 +47,7 @@ class TestTokenize:
         # a word's position is its index in the split, counted from 0, so
         # only the first word is sentence-initial
         words = split_words("One, Two; Three")
-        assert [i for i, w in enumerate(words) if is_noun(w, i, {})] == [1, 2]
+        assert [i for i, w in enumerate(words) if is_noun(w, i, set())] == [1, 2]
 
     def test_underscore_is_a_delimiter(self):
         # injected concept terms keep underscores only because they are
@@ -116,7 +117,7 @@ class TestRemoveStopwords:
         # "Fox" keeps its place in the text after "the" is dropped, so the
         # noun rule does not see it as sentence-initial
         doc = RawDocument(id="d", title="", body="the Fox ran", labels={"c"})
-        res = TextResources(stopwords={"the"}, nouns={})
+        res = TextResources(stopwords={"the"}, nouns=set())
         assert represent(doc, Representation.T1, res).tokens == ["Fox", "ran"]
         assert represent(doc, Representation.T3, res).tokens == ["Fox"]
 
@@ -175,22 +176,24 @@ class TestGazetteerLoad:
             Gazetteer.load(path)
 
 
+class TestLoadWordList:
+    def test_lowercased_without_blanks_and_comments(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("# a comment\nThe\n\n  Boss \nthe\n", encoding="utf-8")
+        assert load_word_list(path) == {"the", "boss"}
+
+
 class TestFilterNouns:
     def test_keeps_lexicon_suffix_and_capitalized(self):
         words = split_words("said Reno boss reminder government quickly")
-        out = filter_nouns(words, {"boss": True})
+        out = filter_nouns(words, {"boss"})
         assert out == ["Reno", "boss", "reminder", "government"]
 
     def test_empty(self):
-        assert filter_nouns([], {}) == []
-
-    def test_lexicon_can_veto(self):
-        words = ["running", "reminder"]
-        assert filter_nouns(words, {"running": False}) == ["reminder"]
-        assert filter_nouns(words, {"reminder": False}) == []
+        assert filter_nouns([], set()) == []
 
     def test_sentence_initial_capital_not_a_noun(self):
-        assert filter_nouns(["Run", "Reno"], {}) == ["Reno"]
+        assert filter_nouns(["Run", "Reno"], set()) == ["Reno"]
 
 
 def _resources() -> TextResources:
