@@ -12,9 +12,10 @@ matrix that ``learn`` trains on and predicts from as it is.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,22 +46,21 @@ def document_terms(doc: TaggedDocument) -> list[str]:
 
 def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
     """Term counts of every document, one row per document in input order,
-    and the sorted terms that name the columns. Rows are appended as int32
-    arrays, so no per-term object outlives its document."""
-    ids: dict[str, int] = {}
-    indptr, indices, data = [0], array("i"), array("i")
+    and the sorted terms that name the columns. Each document's term ids
+    are laid end to end in an int32 array, so no per-term object outlives
+    its document; summing the repeats of a row of ones gives the counts."""
+    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    term_ids, ends = array("i"), array("q", [0])
     for doc in docs:
-        counts = Counter(document_terms(doc))
-        indices.extend(ids.setdefault(term, len(ids)) for term in counts)
-        data.extend(counts.values())
-        indptr.append(len(indices))
+        term_ids.extend(map(ids.__getitem__, document_terms(doc)))
+        ends.append(len(term_ids))
     terms = sorted(ids)
     column = np.empty(len(ids), dtype=np.int32)  # term id -> sorted position
     column[[ids[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
-    matrix = sp.csr_matrix(
-        (np.frombuffer(data, np.int32), column[np.frombuffer(indices, np.int32)], indptr),
-        shape=(len(docs), len(ids)))
-    matrix.sort_indices()
+    tokens = column[np.frombuffer(term_ids, np.int32)]
+    matrix = sp.csr_matrix((np.ones(len(tokens), dtype=np.int32), tokens, ends),
+                           shape=(len(docs), len(ids)))
+    matrix.sum_duplicates()
     return matrix, terms
 
 

@@ -122,6 +122,12 @@ def train_binary_svm(
     diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
     snap = 1e-12 * max(1.0, c)
 
+    def snap_bound(value: float) -> float:
+        # clear float residue so boxed pairs cannot freeze the loop
+        if value < snap:
+            return 0.0
+        return c if value > c - snap else value
+
     if n <= _GRAM_LIMIT:
         gram = (X @ X.T).toarray()
 
@@ -194,12 +200,6 @@ def train_binary_svm(
             else:
                 lo = max(0.0, alpha[i] + alpha[j] - c)
                 hi = min(c, alpha[i] + alpha[j])
-
-            def snap_bound(value: float) -> float:
-                # clear float residue so boxed pairs cannot freeze the loop
-                if value < snap:
-                    return 0.0
-                return c if value > c - snap else value
 
             step = (F[j] - F[i]) * ya[j] / eta  # = y_j (E_i - E_j) / eta
             a_j_new = snap_bound(min(max(alpha[j] + step, lo), hi))

@@ -148,6 +148,38 @@ class TestLazyFields:
                  title_term=title_term)
         assert set(index._fields) == built
 
+    @pytest.mark.parametrize("kb", ["sample", "random"])
+    def test_postings_are_exact_size_int32_with_ascending_ids(self, kb_sample, kb):
+        # field_as_dicts sees neither the order of a term's ids nor a dtype
+        rng = random.Random(20261018)
+        records = kb_sample if kb == "sample" else [
+            _random_cased_record(rng, i) for i in range(40)]
+        index = KbIndex(records)
+        for fname in INDEXED_FIELDS:
+            field = index._field(fname)
+            starts = field.starts.tolist()
+            assert len(starts) == len(field.rows) + 1, fname
+            assert starts[0] == 0 and starts[-1] == len(field.ids), fname
+            assert all(a <= b for a, b in zip(starts, starts[1:])), fname
+            for a, b in zip(starts, starts[1:]):
+                assert (np.diff(field.ids[a:b]) > 0).all(), fname
+            for arr in (field.ids, field.tfs, field.lengths):
+                assert arr.dtype == np.int32, fname
+            for arr in (field.ids, field.tfs):
+                # not a view into a buffer the size of the field's tokens
+                assert arr.base is None or memoryview(arr.base).nbytes == arr.nbytes, fname
+
+    def test_field_empty_in_every_record(self):
+        index = KbIndex([KnowledgeRecord(title="a", contents="x"), KnowledgeRecord(title="b")])
+        field = index._field(FieldName.TYPES)
+        assert field.rows == {} and field.starts.tolist() == [0]
+        assert field.lengths.tolist() == [0, 0]
+        assert index.search(parse_query("types:x"), 5) == []
+
+    def test_repeated_list_item_counts_twice(self):
+        index = KbIndex([KnowledgeRecord(title="r", categories=["A", "A"])])
+        assert field_as_dicts(index, FieldName.CATEGORIES) == ({"a": {"r": 2}}, {"r": 2})
+
 
 class TestParseQuery:
     def test_single_term_clause(self):
