@@ -125,8 +125,8 @@ def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
     """Count the terms of every prepared document once, row i for the fold
     rows' document i; ``labels`` is the bool label matrix of those rows.
     Each fold trains and predicts on row selections, adds the number of its
-    models, their epochs and how many stopped uncertified to ``counters``,
-    and keeps its models only when they are to be saved."""
+    models, their epochs, their SMO steps and how many stopped uncertified
+    to ``counters``, and keeps its models only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
@@ -140,6 +140,7 @@ def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
         for model in models.values():
             counters["learn.binary_models"] += 1
             counters["learn.epochs"] += len(model.objective_history)
+            counters["learn.steps"] += model.steps
             counters["learn.uncertified"] += not model.certified
         pred = predict(models, vectorize(counts[test], vocab), mode, categories)
         return labels[test], pred, models if cfg.save_models else None

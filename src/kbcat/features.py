@@ -58,9 +58,17 @@ def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
     column = np.empty(len(ids), dtype=np.int32)  # term id -> sorted position
     column[[ids[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
     tokens = column[np.frombuffer(term_ids, np.int32)]
+    del term_ids
     matrix = sp.csr_matrix((np.ones(len(tokens), dtype=np.int32), tokens, ends),
                            shape=(len(docs), len(ids)))
+    del tokens
     matrix.sum_duplicates()
+    # sum_duplicates keeps views of the token-sized buffers while at least
+    # half the entries remain. The matrix holds the only references to
+    # them, so copying one array at a time frees each buffer before the
+    # next copy is made, and the copies add nothing to peak memory
+    matrix.indices = matrix.indices.copy()
+    matrix.data = matrix.data.copy()
     return matrix, terms
 
 

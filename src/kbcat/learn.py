@@ -12,6 +12,19 @@ sum, and the duality gap certifies how far the incumbent is from the
 optimum. The procedure is deterministic: no randomness is consumed.
 Every category trains on the fold's one CSR matrix from ``vectorize``.
 
+A step picks i, the first index of the largest ``F = y - f`` over the up
+set, stops when that F is within ``_KKT_EPS`` of the smallest F over the
+low set, and otherwise picks j by the second-order gain (LIBSVM's
+working-set selection). The two sets live in two arrays: the labels with
+every index outside the up set at -inf, and with every index outside the
+low set at +inf. A step sets again only the entries of the two indices it
+moves. Subtracting ``f`` from such an array gives F with its masked-out
+entries at -inf or +inf, the very floats that rebuilding the mask and
+applying it to F gives, so ``argmax`` and ``min`` return the same first
+index and value. Outside the low set the gain's difference is -inf and
+clips to a gain of 0, below the positive gain of the pair picked. A step
+makes 17 whole-array numpy operations.
+
 Past ``_GRAM_LIMIT`` training points a model computes its Gram rows on
 demand, with one CSR matvec each, and keeps the most recently used ones in
 an LRU cache of up to ``_GRAM_LIMIT**2`` floats, the dense Gram's own
@@ -70,6 +83,8 @@ class LinearModel:
     # tolerance, and that gap (NaN when unknown, as for a hand-built model)
     certified: bool = False
     rel_gap: float = math.nan
+    # the number of SMO pair updates the trainer made
+    steps: int = 0
 
 
 def _best_bias(f: np.ndarray, ya: np.ndarray) -> float:
@@ -160,57 +175,82 @@ def train_binary_svm(
 
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = w . x_i, maintained incrementally
+    labels = ya.tolist()
 
-    pos_mask = ya > 0
-    neg_mask = ~pos_mask
+    # the labels with -inf outside the up set and +inf outside the low set,
+    # so that F = ya - f masked to either set is one subtraction. A step
+    # moves only alpha_i and alpha_j, so only those two entries are set again
+    up_y, low_y = np.empty(n), np.empty(n)
+
+    def set_masks(k: int, a: float) -> None:
+        y_k = labels[k]
+        if y_k > 0:
+            up_y[k] = y_k if a < c else -math.inf
+            low_y[k] = y_k if a > 0 else math.inf
+        else:
+            up_y[k] = y_k if a > 0 else -math.inf
+            low_y[k] = y_k if a < c else math.inf
+
+    for k in range(n):
+        set_masks(k, 0.0)
 
     best = {"P": math.inf, "alpha": alpha.copy(), "b": 0.0}
     history: list[float] = []
     converged = False
     certified = False
     rel_gap = math.inf
+    steps = 0
 
     for _epoch in range(cfg.max_epochs):
         moved = False
         for _ in range(n):
-            F = ya - f
-            up = (pos_mask & (alpha < c)) | (neg_mask & (alpha > 0))
-            low = (pos_mask & (alpha > 0)) | (neg_mask & (alpha < c))
-            if not up.any() or not low.any():
-                converged = True
-                break
-            i = int(np.where(up, F, -np.inf).argmax())
-            m_low = float(np.where(low, F, np.inf).min())
-            if F[i] - m_low <= _KKT_EPS:
+            # the masked-out entries are -inf and +inf here too, so argmax
+            # and min find the first index and the value that masking finds;
+            # an empty set gives F_i = -inf or m_low = +inf and stops the loop
+            F_up = up_y - f
+            i = int(F_up.argmax())
+            F_low = low_y - f
+            F_i, m_low = float(F_up[i]), float(F_low.min())
+            if F_i - m_low <= _KKT_EPS:
                 converged = True
                 break
 
             # second-order working-set selection: among lower candidates
-            # pick the one with the largest quadratic gain for the pair
+            # pick the one with the largest quadratic gain for the pair.
+            # diff is -inf outside low, so every non-candidate scores 0,
+            # below the m_low index's gain (its diff is above _KKT_EPS)
             row_i = gram_row(i)
-            diff = F[i] - F
+            diff = F_i - F_low
             eta_vec = np.maximum(diag[i] + diag - 2.0 * row_i, 1e-12)
-            gain = np.where(low & (diff > 0), diff * diff / eta_vec, -np.inf)
+            gain = np.maximum(diff, 0.0)
+            gain *= gain
+            gain /= eta_vec
             j = int(gain.argmax())
 
             eta = float(eta_vec[j])
-            if ya[i] != ya[j]:
-                lo = max(0.0, alpha[j] - alpha[i])
-                hi = min(c, c + alpha[j] - alpha[i])
+            y_i, y_j = labels[i], labels[j]
+            a_i, a_j = float(alpha[i]), float(alpha[j])
+            if y_i != y_j:
+                lo = max(0.0, a_j - a_i)
+                hi = min(c, c + a_j - a_i)
             else:
-                lo = max(0.0, alpha[i] + alpha[j] - c)
-                hi = min(c, alpha[i] + alpha[j])
+                lo = max(0.0, a_i + a_j - c)
+                hi = min(c, a_i + a_j)
 
-            step = (F[j] - F[i]) * ya[j] / eta  # = y_j (E_i - E_j) / eta
-            a_j_new = snap_bound(min(max(alpha[j] + step, lo), hi))
-            a_i_new = snap_bound(alpha[i] + ya[i] * ya[j] * (alpha[j] - a_j_new))
-            d_i = (a_i_new - alpha[i]) * ya[i]
-            d_j = (a_j_new - alpha[j]) * ya[j]
+            # j is in low, where F_low is F: step = y_j (E_i - E_j) / eta
+            step = (float(F_low[j]) - F_i) * y_j / eta
+            a_j_new = snap_bound(min(max(a_j + step, lo), hi))
+            a_i_new = snap_bound(a_i + y_i * y_j * (a_j - a_j_new))
+            d_i = (a_i_new - a_i) * y_i
+            d_j = (a_j_new - a_j) * y_j
             if d_i == 0.0 and d_j == 0.0:
                 break
             alpha[i], alpha[j] = a_i_new, a_j_new
+            set_masks(i, a_i_new)
+            set_masks(j, a_j_new)
             f += d_i * row_i + d_j * gram_row(j)
             moved = True
+            steps += 1
 
         wsq = float((alpha * ya) @ f)
         b = _best_bias(f, ya)
@@ -232,7 +272,7 @@ def train_binary_svm(
     w = np.asarray(X.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
                        objective=best["P"], objective_history=history,
-                       certified=certified, rel_gap=rel_gap)
+                       certified=certified, rel_gap=rel_gap, steps=steps)
 
 
 # the fold's training matrix in a worker process, set by the pool's

@@ -227,3 +227,87 @@ def micro_macro_by_enumeration(
         f_scores.append(2 * cp * cr / (cp + cr) if cp + cr else 0.0)
     macro = sum(f_scores) / len(f_scores)
     return micro, macro
+
+
+def reference_smo(X, y: list[int], c: float, tolerance: float = 1e-4,
+                  max_epochs: int = 1000):
+    """The mask-based SMO trainer: a plain transcription of the step loop
+    that rebuilt the up and low sets from alpha at every step, on a dense
+    Gram, with the same bias, certificate and best-iterate bookkeeping.
+    Returns (weights, bias, objective_history, certified, rel_gap, steps)
+    for two-class labels of +1 and -1."""
+    n = X.shape[0]
+    ya = np.asarray(y, dtype=np.float64)
+    diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    gram = (X @ X.T).toarray()
+    snap = 1e-12 * max(1.0, c)
+
+    def snap_bound(value: float) -> float:
+        if value < snap:
+            return 0.0
+        return c if value > c - snap else value
+
+    def best_bias(f: np.ndarray) -> float:
+        bps = np.sort(ya - f)
+        return float(bps[int(np.sum(ya > 0)) - 1])
+
+    def primal(f: np.ndarray, b: float, wsq: float) -> float:
+        return 0.5 * wsq + c * float(np.maximum(0.0, 1.0 - ya * (f + b)).sum())
+
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    pos_mask = ya > 0
+    neg_mask = ~pos_mask
+    best_p, best_alpha, best_b = math.inf, alpha.copy(), 0.0
+    history: list[float] = []
+    converged = certified = False
+    rel_gap = math.inf
+    steps = 0
+    for _epoch in range(max_epochs):
+        moved = False
+        for _ in range(n):
+            F = ya - f
+            up = (pos_mask & (alpha < c)) | (neg_mask & (alpha > 0))
+            low = (pos_mask & (alpha > 0)) | (neg_mask & (alpha < c))
+            if not up.any() or not low.any():
+                converged = True
+                break
+            i = int(np.where(up, F, -np.inf).argmax())
+            m_low = float(np.where(low, F, np.inf).min())
+            if F[i] - m_low <= 1e-8:
+                converged = True
+                break
+            diff = F[i] - F
+            eta_vec = np.maximum(diag[i] + diag - 2.0 * gram[i], 1e-12)
+            gain = np.where(low & (diff > 0), diff * diff / eta_vec, -np.inf)
+            j = int(gain.argmax())
+            eta = float(eta_vec[j])
+            if ya[i] != ya[j]:
+                lo = max(0.0, alpha[j] - alpha[i])
+                hi = min(c, c + alpha[j] - alpha[i])
+            else:
+                lo = max(0.0, alpha[i] + alpha[j] - c)
+                hi = min(c, alpha[i] + alpha[j])
+            step = (F[j] - F[i]) * ya[j] / eta
+            a_j_new = snap_bound(min(max(alpha[j] + step, lo), hi))
+            a_i_new = snap_bound(alpha[i] + ya[i] * ya[j] * (alpha[j] - a_j_new))
+            d_i = (a_i_new - alpha[i]) * ya[i]
+            d_j = (a_j_new - alpha[j]) * ya[j]
+            if d_i == 0.0 and d_j == 0.0:
+                break
+            alpha[i], alpha[j] = a_i_new, a_j_new
+            f += d_i * gram[i] + d_j * gram[j]
+            moved = True
+            steps += 1
+        wsq = float((alpha * ya) @ f)
+        b = best_bias(f)
+        p_now = primal(f, b, wsq)
+        if p_now < best_p:
+            best_p, best_alpha, best_b = p_now, alpha.copy(), b
+        history.append(best_p)
+        rel_gap = (p_now - (float(alpha.sum()) - 0.5 * wsq)) / max(1.0, abs(p_now))
+        certified = converged or rel_gap <= tolerance
+        if certified or not moved:
+            break
+    w = np.asarray(X.T @ (best_alpha * ya)).ravel()
+    return w, best_b, history, certified, rel_gap, steps

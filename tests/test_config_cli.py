@@ -327,6 +327,7 @@ class TestRunExperiment:
         expected = {
             "count.learn.binary_models": str(len(models)),
             "count.learn.epochs": str(sum(len(m.objective_history) for m in models)),
+            "count.learn.steps": str(sum(m.steps for m in models)),
             "count.learn.uncertified": str(sum(not m.certified for m in models)),
         }
         assert {k: v for k, v in manifest.items() if k.startswith("count.")} == expected

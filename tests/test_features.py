@@ -59,6 +59,14 @@ class TestCountTerms:
         assert counts.toarray().tolist() == [[1, 2, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]
         assert counts.dtype == np.int32 and counts.has_sorted_indices
 
+    def test_entries_own_exact_size_buffers(self):
+        # 5 tokens, 4 entries: summing the repeat keeps most entries, and
+        # the arrays must not hold on to the token-sized buffers
+        counts, _terms = count_terms([make_tagged(["a", "b", "a"]), make_tagged(["c", "d"])])
+        assert counts.nnz == 4
+        for array in (counts.indices, counts.data):
+            assert array.base is None and array.size == counts.nnz
+
     def test_no_documents(self):
         counts, terms = count_terms([])
         assert counts.shape == (0, 0) and terms == []

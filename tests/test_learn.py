@@ -23,7 +23,7 @@ from kbcat.learn import (
     train_binary_svm,
     train_one_vs_rest,
 )
-from oracles import svm_primal_objective, svm_projected_gradient_oracle
+from oracles import reference_smo, svm_primal_objective, svm_projected_gradient_oracle
 
 
 def _csr(rows: list[list[float]]) -> sp.csr_matrix:
@@ -201,6 +201,70 @@ class TestOnDemandGramRows:
         # exactly once
         assert len(asked) <= 78
         assert sorted(operands[79]) == sorted(asked)
+
+
+def _step_battery():
+    """(id, X, y, c, max_epochs) problems on which the trainer's steps must
+    match the mask-based reference step for step."""
+    problems = [(f"seed{seed}-c{c:g}", *_random_sparse_problem(seed), c, 1000)
+                for seed in (0, 1, 2) for c in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+    # every row twice: F and the pair gains tie, so first-index ties decide
+    X, y = _random_sparse_problem(3, n=30)
+    for c in (1.0, 10.0):
+        problems.append((f"duplicated-c{c:g}", sp.vstack([X, X], format="csr"), y + y,
+                         c, 1000))
+    # empty rows: a pair of them has eta at its 1e-12 floor
+    X, y = _random_sparse_problem(4, n=40)
+    X = sp.vstack([X, sp.csr_matrix((6, X.shape[1]))], format="csr")
+    problems.append(("zero-rows", X, y + [1, -1, 1, -1, 1, -1], 10.0, 1000))
+    X, y = _random_sparse_problem(5)
+    problems.append(("one-positive", X, [1] + [-1] * (len(y) - 1), 1.0, 1000))
+    X, y = _random_sparse_problem(0)
+    problems.append(("one-epoch", X, y, 10.0, 1))
+    return problems
+
+
+_STEP_BATTERY = _step_battery()
+
+
+def _assert_matches_reference(model: LinearModel, reference):
+    weights, bias, history, certified, rel_gap, steps = reference
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.hex() == bias.hex()
+    assert model.objective_history == history
+    assert model.certified == certified
+    assert model.rel_gap.hex() == rel_gap.hex()
+    assert model.steps == steps
+
+
+class TestStepMatchesReference:
+    """The trainer keeps the up and low sets as masked labels set again only
+    at the two moved indices; every index it picks and every float it
+    computes must be those of the reference that rebuilds both sets from
+    alpha at every step, on either Gram path."""
+
+    @pytest.mark.parametrize("name, X, y, c, max_epochs", _STEP_BATTERY,
+                             ids=[p[0] for p in _STEP_BATTERY])
+    def test_same_model_and_steps(self, monkeypatch, name, X, y, c, max_epochs):
+        reference = reference_smo(X, y, c, max_epochs=max_epochs)
+        steps, certified = reference[5], reference[3]
+        assert steps > 0
+        if name == "one-epoch":
+            assert not certified
+        cfg = TrainConfig(c=c, max_epochs=max_epochs)
+        for limit in (learn._GRAM_LIMIT, 0):
+            monkeypatch.setattr(learn, "_GRAM_LIMIT", limit)
+            _assert_matches_reference(train_binary_svm(X, y, cfg), reference)
+
+    def test_empty_sets_stop_the_loop(self):
+        # with C = 0 no coefficient may move up or down: both sets start empty
+        X, y = _random_sparse_problem(0)
+        reference = reference_smo(X, y, 0.0)
+        assert reference[5] == 0 and reference[3]
+        _assert_matches_reference(train_binary_svm(X, y, TrainConfig(c=0.0)), reference)
+
+    def test_single_class_takes_no_step(self):
+        assert train_binary_svm(_csr([[1.0], [2.0]]), [1, 1]).steps == 0
 
 
 class TestTrainingProperties:
