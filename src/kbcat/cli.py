@@ -18,13 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PRESET_NAMES, load_config, validate_config
-from .enrich import strategy_outputs
+from .enrich import apply_preset, strategy_outputs
 from .experiment import (
     StageError,
     improvement_table_from_files,
     load_corpus,
     load_resources,
-    prepare_documents,
     run_experiment,
 )
 from .kbindex import KbIndex, load_kb_dump
@@ -57,7 +56,7 @@ def _cmd_enrich_preview(args: argparse.Namespace) -> int:
         raise ValueError(f"document {args.doc_id!r} not found")
     preset = cfg.resolve_preset()
     index = KbIndex(load_kb_dump(cfg.kb_dump)) if preset.strategies else None
-    [prepared] = prepare_documents([doc], cfg, index, resources)
+    prepared = apply_preset(doc, preset, index, resources)
 
     print(f"document {doc.id} labels={sorted(doc.labels)}")
     print(f"representation {preset.representation.value}: {' '.join(prepared.tokens)}")

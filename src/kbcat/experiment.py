@@ -1,7 +1,7 @@
 """Experiment orchestration: corpus loading, enrichment, training,
 evaluation, and artifact emission for one configured run.
 
-The pipeline is load -> represent/enrich -> stem+lowercase and count once,
+The pipeline is load -> represent, enrich and count each document in turn,
 and build the documents x categories label matrix once -> per fold:
 vectorize -> train -> predict -> evaluate. Cross-validation and the fixed
 split run the same fold loop; the split is one fold. The baseline preset
@@ -15,11 +15,19 @@ from __future__ import annotations
 import hashlib
 import logging
 import statistics
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+import scipy.sparse as sp
 
 from . import __version__
 from .config import ExperimentConfig, config_to_dict
@@ -47,7 +55,7 @@ from .evaluation import (
 from .features import count_terms, fit_vocabulary, vectorize
 from .kbindex import KbIndex, load_kb_dump
 from .learn import TrainConfig, predict, save_models, train_one_vs_rest
-from .textproc import Gazetteer, TaggedDocument, TextResources, load_word_list
+from .textproc import Gazetteer, TextResources, load_word_list
 
 logger = logging.getLogger(__name__)
 
@@ -114,23 +122,23 @@ def prepare_documents(
     cfg: ExperimentConfig,
     index: KbIndex | None,
     resources: TextResources,
-) -> list[TaggedDocument]:
-    """Represent and enrich each document; the list follows ``docs``."""
+) -> sp.csr_matrix:
+    """Represent, enrich and count each document in turn: the term counts,
+    row i for ``docs[i]``. A prepared document is dropped once its terms are
+    counted, so the run never holds every document's word list."""
     preset = cfg.resolve_preset()
-    return [apply_preset(doc, preset, index, resources) for doc in docs]
+    return count_terms(apply_preset(doc, preset, index, resources) for doc in docs)[0]
 
 
-def make_fold_runner(tagged: list, labels, categories: tuple[str, ...],
+def make_fold_runner(counts: sp.csr_matrix, labels, categories: tuple[str, ...],
                      cfg: ExperimentConfig, counters: Counter):
-    """Count the terms of every prepared document once, row i for the fold
-    rows' document i; ``labels`` is the bool label matrix of those rows.
-    Each fold trains and predicts on row selections, adds the number of its
+    """Train and predict each fold on row selections of the term counts and
+    of ``labels``, their bool label matrix. Each fold adds the number of its
     models, their epochs, their SMO steps and how many stopped uncertified
     to ``counters``, and keeps its models only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
-    counts, _terms = count_terms(tagged)
 
     def run_fold(train, test):
         x_train = counts[train]
@@ -193,14 +201,14 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     if cfg.resolve_preset().strategies:
         index = stage("index", lambda: KbIndex(load_kb_dump(cfg.kb_dump)))
 
-    prepared = stage("prepare", lambda: prepare_documents(admitted, cfg, index, resources))
+    counts = stage("prepare", lambda: prepare_documents(admitted, cfg, index, resources))
     counters: Counter = Counter()
 
     def evaluate():
         folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"
                  else split_fold(admitted))
         labels = label_matrix([d.labels for d in admitted], categories)
-        runner = make_fold_runner(prepared, labels, categories, cfg, counters)
+        runner = make_fold_runner(counts, labels, categories, cfg, counters)
         return run_folds(folds, runner, categories)
 
     evaluated = stage("evaluate", evaluate)
@@ -238,6 +246,11 @@ def build_manifest(
             manifest[f"checksum.{key}"] = _sha256_path(Path(value))
     for stage_name, seconds in timings.items():
         manifest[f"timing.{stage_name}"] = f"{seconds:.3f}"
+    if resource is not None:  # ru_maxrss is in KiB, in bytes on macOS
+        unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+        for key, who in (("peak_rss_mb", resource.RUSAGE_SELF),
+                         ("workers_peak_rss_mb", resource.RUSAGE_CHILDREN)):
+            manifest[f"memory.{key}"] = f"{resource.getrusage(who).ru_maxrss / unit:.1f}"
     for counter, value in counters.items():
         manifest[f"count.{counter}"] = str(value)
     for key, value in config_to_dict(cfg).items():

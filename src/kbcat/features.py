@@ -4,10 +4,10 @@ A document's words are lowercased and stemmed here; its enrichment-injected
 concept terms are lowercased but kept unstemmed so multi-word concepts
 like ``Kaiser_Permanente`` survive as single features.
 
-``count_terms`` processes each document of a run once, into one CSR matrix
-of term counts in sorted-term column order; a fold's training and test
-sets are row selections of it. ``vectorize`` weights rows into the CSR
-matrix that ``learn`` trains on and predicts from as it is.
+``count_terms`` consumes a run's documents as an iterable, one at a time,
+into one CSR matrix of term counts in sorted-term column order; a fold's
+training and test sets are row selections of it. ``vectorize`` weights
+rows into the CSR matrix that ``learn`` trains on and predicts from as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,11 +45,12 @@ def document_terms(doc: TaggedDocument) -> list[str]:
     return [_stem(w.lower()) for w in doc.tokens] + [t.lower() for t in doc.injected]
 
 
-def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
-    """Term counts of every document, one row per document in input order,
-    and the sorted terms that name the columns. Each document's term ids
-    are laid end to end in an int32 array, so no per-term object outlives
-    its document; summing the repeats of a row of ones gives the counts."""
+def count_terms(docs: Iterable[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
+    """Term counts of the documents, read one at a time (a generator's can be
+    dropped once counted), a row each in input order, and the sorted terms
+    naming the columns. Each document's term ids are laid end to end in an
+    int32 array, so no per-term object outlives its document; summing the
+    repeats of a row of ones gives the counts."""
     ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     term_ids, ends = array("i"), array("q", [0])
     for doc in docs:
@@ -60,7 +62,7 @@ def count_terms(docs: list[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
     tokens = column[np.frombuffer(term_ids, np.int32)]
     del term_ids
     matrix = sp.csr_matrix((np.ones(len(tokens), dtype=np.int32), tokens, ends),
-                           shape=(len(docs), len(ids)))
+                           shape=(len(ends) - 1, len(ids)))
     del tokens
     matrix.sum_duplicates()
     # sum_duplicates keeps views of the token-sized buffers while at least

@@ -275,14 +275,37 @@ class TestRunExperiment:
         calls = []
 
         def counting(doc):
-            calls.append(id(doc))  # the prepared documents live until the run ends
+            calls.append(doc)  # kept alive, so no two documents share an id
             return original(doc)
 
         original = features.document_terms
         monkeypatch.setattr(features, "document_terms", counting)
         run_experiment(parse_config_text(_config_text(separable_corpus)))
         assert len(calls) == 40
-        assert len(set(calls)) == 40
+        assert len({id(doc) for doc in calls}) == 40
+
+    def test_prepared_documents_are_dropped_once_counted(self, separable_corpus,
+                                                         monkeypatch):
+        import weakref
+
+        from kbcat import experiment
+        from kbcat.experiment import admit_documents, load_corpus, load_resources
+
+        refs = []
+
+        def remembering(*args):
+            doc = original(*args)
+            refs.append(weakref.ref(doc))
+            assert sum(ref() is not None for ref in refs) <= 2
+            return doc
+
+        original = experiment.apply_preset
+        monkeypatch.setattr(experiment, "apply_preset", remembering)
+        cfg = parse_config_text(_config_text(separable_corpus))
+        admitted = admit_documents(*load_corpus(cfg))
+        counts = experiment.prepare_documents(admitted, cfg, None, load_resources(cfg))
+        assert counts.shape[0] == len(refs) == 40
+        assert all(ref() is None for ref in refs)
 
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -304,6 +327,17 @@ class TestRunExperiment:
         assert manifest["toolkit_version"]
         assert any(k.startswith("checksum.") for k in manifest)
         assert any(k.startswith("timing.") for k in manifest)
+
+    def test_manifest_memory_peaks(self, separable_corpus, request):
+        pytest.importorskip("resource")
+        cfg = parse_config_text(_config_text(separable_corpus))
+        keys = ("memory.peak_rss_mb", "memory.workers_peak_rss_mb")
+        manifest = run_experiment(cfg).manifest
+        assert all(float(manifest[key]) >= 0 for key in keys)
+        # the workers' high-water mark once a fold has trained in them
+        request.getfixturevalue("forced_pool")
+        manifest = run_experiment(cfg).manifest
+        assert float(manifest["memory.workers_peak_rss_mb"]) > 0
 
     @pytest.mark.parametrize("epochs", ["1", "1000"])
     def test_learning_counters_sum_the_folds_models(self, tmp_path, monkeypatch,
@@ -349,6 +383,7 @@ class TestRunExperiment:
         from collections import Counter
 
         from kbcat import experiment
+        from kbcat.enrich import apply_preset
         from kbcat.evaluation import cv_folds, label_matrix, run_folds
         from kbcat.experiment import (admit_documents, load_corpus,
                                       load_resources, make_fold_runner,
@@ -365,11 +400,14 @@ class TestRunExperiment:
         cfg = parse_config_text(_config_text(separable_corpus))
         docs, categories = load_corpus(cfg)
         admitted = admit_documents(docs, categories)
-        tagged = prepare_documents(admitted, cfg, None, load_resources(cfg))
+        resources = load_resources(cfg)
+        counts = prepare_documents(admitted, cfg, None, resources)
+        tagged = [apply_preset(d, cfg.resolve_preset(), None, resources)
+                  for d in admitted]
         labels = label_matrix([d.labels for d in admitted], categories)
         _, terms = count_terms(tagged)
         folds = cv_folds(admitted, 4, cfg.seed)
-        run_folds(folds, make_fold_runner(tagged, labels, categories, cfg, Counter()),
+        run_folds(folds, make_fold_runner(counts, labels, categories, cfg, Counter()),
                   categories)
         for (train, _test), vocab in zip(folds, fitted, strict=True):
             train_df = Counter(t for i in train for t in set(document_terms(tagged[i])))
@@ -382,6 +420,7 @@ class TestRunExperiment:
 
         from kbcat.evaluation import accumulate, label_matrix, run_folds
         from kbcat.experiment import make_fold_runner
+        from kbcat.features import count_terms
         cfg = parse_config_text(_config_text(separable_corpus, label_mode="multi",
                                              save_models="true"))
         categories = ("blue", "rare", "red")
@@ -389,8 +428,8 @@ class TestRunExperiment:
         labels = label_matrix([{w} for w in words[:4]] + [{"blue", "rare"}, {"red"}],
                               categories)
         counters = Counter()
-        runner = make_fold_runner([make_tagged([w, "sky"]) for w in words], labels,
-                                  categories, cfg, counters)
+        counts, _terms = count_terms([make_tagged([w, "sky"]) for w in words])
+        runner = make_fold_runner(counts, labels, categories, cfg, counters)
         gold, pred, models = runner([0, 1, 2, 3], [4, 5])
         assert counters["learn.binary_models"] == 2
         assert list(models) == ["blue", "red"]

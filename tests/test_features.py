@@ -67,6 +67,15 @@ class TestCountTerms:
         for array in (counts.indices, counts.data):
             assert array.base is None and array.size == counts.nnz
 
+    def test_generator_counts_like_its_list(self):
+        words = [["b", "a", "b"], [], ["Connections", "c", "a"], ["c", "c"]]
+        listed, listed_terms = count_terms([make_tagged(w) for w in words])
+        streamed, streamed_terms = count_terms(make_tagged(w) for w in words)
+        assert streamed.shape == listed.shape == (4, 4)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(streamed, name).tolist() == getattr(listed, name).tolist()
+        assert streamed_terms == listed_terms
+
     def test_no_documents(self):
         counts, terms = count_terms([])
         assert counts.shape == (0, 0) and terms == []
