@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Iterator
 
 try:
     import resource
@@ -118,23 +119,32 @@ def admit_documents(
 
 
 def prepare_documents(
-    docs: list[RawDocument],
+    docs: Iterable[RawDocument],
     cfg: ExperimentConfig,
     index: KbIndex | None,
     resources: TextResources,
 ) -> sp.csr_matrix:
     """Represent, enrich and count each document in turn: the term counts,
-    row i for ``docs[i]``. A prepared document is dropped once its terms are
-    counted, so the run never holds every document's word list."""
+    row i for the i-th document. A prepared document is dropped once its
+    terms are counted, so the run never holds every document's word list."""
     preset = cfg.resolve_preset()
     return count_terms(apply_preset(doc, preset, index, resources) for doc in docs)[0]
+
+
+def _handed_over(docs: list[RawDocument]) -> Iterator[RawDocument]:
+    """Yield each document of ``docs`` in turn, leaving in its place a copy
+    without title and body: once prepared, a run reads only the ids, labels
+    and split hints."""
+    for i, doc in enumerate(docs):
+        docs[i] = RawDocument(doc.id, "", "", doc.labels, doc.split_hint)
+        yield doc
 
 
 def make_fold_runner(counts: sp.csr_matrix, labels, categories: tuple[str, ...],
                      cfg: ExperimentConfig, counters: Counter):
     """Train and predict each fold on row selections of the term counts and
     of ``labels``, their bool label matrix. Each fold adds the number of its
-    models, their epochs, their SMO steps and how many stopped uncertified
+    models, their gap checks, their SMO steps and how many stopped uncertified
     to ``counters``, and keeps its models only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
@@ -194,6 +204,8 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     resources = stage("resources", lambda: load_resources(cfg))
     docs, categories = stage("load", lambda: load_corpus(cfg))
     admitted = stage("admit", lambda: admit_documents(docs, categories))
+    # the admitted documents are copies; each loses its text once prepared
+    del docs
     if not admitted:
         raise StageError("admit", ValueError("no labeled documents admitted"))
 
@@ -201,7 +213,8 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     if cfg.resolve_preset().strategies:
         index = stage("index", lambda: KbIndex(load_kb_dump(cfg.kb_dump)))
 
-    counts = stage("prepare", lambda: prepare_documents(admitted, cfg, index, resources))
+    counts = stage("prepare", lambda: prepare_documents(
+        _handed_over(admitted), cfg, index, resources))
     counters: Counter = Counter()
 
     def evaluate():

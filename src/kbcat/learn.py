@@ -12,6 +12,14 @@ sum, and the duality gap certifies how far the incumbent is from the
 optimum. The procedure is deterministic: no randomness is consumed.
 Every category trains on the fold's one CSR matrix from ``vectorize``.
 
+The gap is checked after every ``min(n, _CHECK_EVERY)`` steps for n
+training points: once an epoch of n steps up to 256 points, every 256 steps
+past that, so a large problem stops at the first certified 256-step
+boundary instead of running to the end of an epoch. Each check finds the
+best bias, keeps the best iterate and adds one entry to
+``objective_history``. The trainer makes at most ``max_epochs * n`` steps;
+the last round is cut short to keep to that budget.
+
 A step picks i, the first index of the largest ``F = y - f`` over the up
 set, stops when that F is within ``_KKT_EPS`` of the smallest F over the
 low set, and otherwise picks j by the second-order gain (LIBSVM's
@@ -64,12 +72,15 @@ _KKT_EPS = 1e-8
 # computed when needed and each model keeps its recently used rows. Both are
 # bounded by _GRAM_LIMIT**2 floats (about 33.5 MB of float64 at 2,048)
 _GRAM_LIMIT = 2048
+# the duality gap is checked after every min(n, _CHECK_EVERY) steps
+_CHECK_EVERY = 256
 
 
 @dataclass
 class TrainConfig:
     c: float = 1.0
     tolerance: float = 1e-4  # relative duality-gap threshold
+    # the step budget is max_epochs * n steps for n training points
     max_epochs: int = 1000
 
 
@@ -113,8 +124,9 @@ def train_binary_svm(
     sign as bias (and a warning). Otherwise the returned model's primal
     objective is duality-gap certified to within ``cfg.tolerance``
     relative of the optimum, or a warning gives the final gap when the
-    trainer stops short of that (``cfg.max_epochs`` or a zero step). The
-    model's ``certified`` and ``rel_gap`` record which of the two happened.
+    trainer stops short of that (its budget of ``cfg.max_epochs * n`` steps
+    or a zero step). The model's ``certified`` and ``rel_gap`` record which
+    of the two happened.
     """
     cfg = cfg or TrainConfig()
     n, dim = X.shape
@@ -201,9 +213,12 @@ def train_binary_svm(
     rel_gap = math.inf
     steps = 0
 
-    for _epoch in range(cfg.max_epochs):
+    # rounds of min(n, _CHECK_EVERY) steps, each closed by a gap check
+    per_round = min(n, _CHECK_EVERY)
+    budget = cfg.max_epochs * n
+    for start in range(0, budget, per_round):
         moved = False
-        for _ in range(n):
+        for _ in range(min(per_round, budget - start)):
             # the masked-out entries are -inf and +inf here too, so argmax
             # and min find the first index and the value that masking finds;
             # an empty set gives F_i = -inf or m_low = +inf and stops the loop
@@ -267,8 +282,9 @@ def train_binary_svm(
 
     if not certified:
         logger.warning(
-            "SVM stopped uncertified after %d epochs: relative duality gap "
-            "%.3g above tolerance %g", len(history), rel_gap, cfg.tolerance)
+            "SVM stopped uncertified after %d of at most %d steps: relative "
+            "duality gap %.3g above tolerance %g", steps, budget, rel_gap,
+            cfg.tolerance)
     w = np.asarray(X.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
                        objective=best["P"], objective_history=history,

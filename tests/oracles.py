@@ -234,8 +234,10 @@ def reference_smo(X, y: list[int], c: float, tolerance: float = 1e-4,
     """The mask-based SMO trainer: a plain transcription of the step loop
     that rebuilt the up and low sets from alpha at every step, on a dense
     Gram, with the same bias, certificate and best-iterate bookkeeping.
-    Returns (weights, bias, objective_history, certified, rel_gap, steps)
-    for two-class labels of +1 and -1."""
+    The gap is checked after every min(n, 256) steps, and at most
+    max_epochs * n steps are made. Returns (weights, bias,
+    objective_history, certified, rel_gap, steps) for two-class labels of
+    +1 and -1."""
     n = X.shape[0]
     ya = np.asarray(y, dtype=np.float64)
     diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
@@ -263,9 +265,13 @@ def reference_smo(X, y: list[int], c: float, tolerance: float = 1e-4,
     converged = certified = False
     rel_gap = math.inf
     steps = 0
-    for _epoch in range(max_epochs):
+    budget, per_round = max_epochs * n, min(n, 256)
+    rounds = [per_round] * (budget // per_round)
+    if budget % per_round:
+        rounds.append(budget % per_round)
+    for round_steps in rounds:
         moved = False
-        for _ in range(n):
+        for _ in range(round_steps):
             F = ya - f
             up = (pos_mask & (alpha < c)) | (neg_mask & (alpha > 0))
             low = (pos_mask & (alpha > 0)) | (neg_mask & (alpha < c))

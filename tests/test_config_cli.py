@@ -307,6 +307,37 @@ class TestRunExperiment:
         assert counts.shape[0] == len(refs) == 40
         assert all(ref() is None for ref in refs)
 
+    def test_loaded_documents_are_released_once_prepared(self, separable_corpus,
+                                                         monkeypatch):
+        # after the prepare stage a run reads only ids, labels and split
+        # hints, so no loaded document, nor its title and body, stays alive
+        import weakref
+
+        from kbcat import experiment
+
+        refs, alive_after_prepare = [], []
+
+        def remembering(original):
+            def call(*args):
+                result = original(*args)
+                docs = result[0] if isinstance(result, tuple) else result
+                refs.extend(weakref.ref(doc) for doc in docs)
+                return result
+            return call
+
+        def preparing(*args):
+            counts = prepare(*args)
+            alive_after_prepare.append(sum(ref() is not None for ref in refs))
+            return counts
+
+        prepare = experiment.prepare_documents
+        for name in ("load_corpus", "admit_documents"):
+            monkeypatch.setattr(experiment, name, remembering(getattr(experiment, name)))
+        monkeypatch.setattr(experiment, "prepare_documents", preparing)
+        result = run_experiment(parse_config_text(_config_text(separable_corpus)))
+        assert len(refs) == 80 and alive_after_prepare == [0]
+        assert result.micro_f == 1.0
+
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

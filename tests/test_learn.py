@@ -221,6 +221,13 @@ def _step_battery():
     problems.append(("one-positive", X, [1] + [-1] * (len(y) - 1), 1.0, 1000))
     X, y = _random_sparse_problem(0)
     problems.append(("one-epoch", X, y, 10.0, 1))
+    # past 256 rows the gap is checked every 256 steps, not once an epoch
+    for n in (300, 600):
+        X, y = _random_sparse_problem(0, n=n)
+        problems += [(f"rows{n}-c{c:g}", X, y, c, 1000) for c in (0.1, 1.0, 10.0)]
+    # a budget of 300 steps: a round of 256, then one cut to 44
+    X, y = _random_sparse_problem(0, n=300)
+    problems.append(("rows300-one-epoch", X, y, 10.0, 1))
     return problems
 
 
@@ -265,6 +272,59 @@ class TestStepMatchesReference:
 
     def test_single_class_takes_no_step(self):
         assert train_binary_svm(_csr([[1.0], [2.0]]), [1, 1]).steps == 0
+
+
+class TestCheckSchedule:
+    """The gap is checked after every ``min(n, _CHECK_EVERY)`` steps, and a
+    model makes at most ``max_epochs * n`` steps."""
+
+    @pytest.mark.parametrize("n", [300, 600])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    def test_certified_at_a_round_boundary(self, monkeypatch, n, c):
+        checks = []
+
+        def counting_best_bias(f, ya):
+            checks.append(1)
+            return best_bias(f, ya)
+
+        best_bias = learn._best_bias
+        monkeypatch.setattr(learn, "_best_bias", counting_best_bias)
+        X, y = _random_sparse_problem(0, n=n)
+        model = train_binary_svm(X, y, TrainConfig(c=c))
+        history = model.objective_history
+        assert len(history) == len(checks)
+        assert all(a >= b for a, b in zip(history, history[1:]))
+        # every round ran its 256 steps, and none ran after the check that
+        # certified the model
+        assert model.certified and model.rel_gap <= 1e-4
+        assert model.steps == learn._CHECK_EVERY * len(history)
+        # fewer steps than one epoch a check: the model stopped mid-epoch
+        assert model.steps % n
+
+    @pytest.mark.parametrize("max_epochs", [1, 2, 3])
+    def test_budget_of_max_epochs_times_n_steps(self, max_epochs):
+        X, y = _random_sparse_problem(0, n=300)
+        model = train_binary_svm(X, y, TrainConfig(c=10.0, max_epochs=max_epochs))
+        assert not model.certified
+        assert model.steps <= max_epochs * 300
+        # checks after 256, 512, ... steps and one where the budget ends
+        assert len(model.objective_history) == -(-max_epochs * 300 // 256)
+
+    def test_uncertified_warning_reports_steps_and_budget(self, caplog):
+        X, y = _random_sparse_problem(0, n=300)
+        with caplog.at_level(logging.WARNING, logger="kbcat.learn"):
+            model = train_binary_svm(X, y, TrainConfig(c=10.0, max_epochs=1))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"SVM stopped uncertified after 300 of at most 300 steps: relative "
+            f"duality gap {model.rel_gap:.3g} above tolerance 0.0001"]
+
+    def test_folds_within_256_rows_check_once_an_epoch(self, monkeypatch):
+        X, y = _random_sparse_problem(0, n=256)
+        cfg = TrainConfig(c=10.0, max_epochs=3)
+        model = train_binary_svm(X, y, cfg)
+        assert len(model.objective_history) == 3 and model.steps == 3 * 256
+        monkeypatch.setattr(learn, "_CHECK_EVERY", 10**9)
+        _assert_same_model(train_binary_svm(X, y, cfg), model)
 
 
 class TestTrainingProperties:
@@ -381,12 +441,12 @@ class TestOneVsRest:
             train_one_vs_rest(_csr([[1.0], [-1.0]]), label_matrix([{"a"}], ["a"]), ["a"])
 
 
-def _multicategory_problem(seed: int, categories: int = 5):
+def _multicategory_problem(seed: int, categories: int = 5, rows: int = 50):
     """A sparse non-negative matrix and a bool label matrix in which
     category 1 has no positive row."""
     rng = np.random.default_rng(seed)
-    X = sp.random(50, 30, density=0.3, format="csr", random_state=seed)
-    labels = rng.random((50, categories)) < 0.3
+    X = sp.random(rows, 30, density=0.3, format="csr", random_state=seed)
+    labels = rng.random((rows, categories)) < 0.3
     labels[:, 1] = False
     labels[0, :] = [j != 1 for j in range(categories)]
     return X, labels, [f"c{j}" for j in range(categories)]
@@ -442,6 +502,18 @@ class TestForkedOneVsRest:
             assert model.objective_history == alone.objective_history
             assert model.certified == alone.certified
             assert model.rel_gap.hex() == alone.rel_gap.hex()
+
+    def test_models_past_256_rows_bit_identical_to_serial(self, forced_pool,
+                                                           trainer_pids):
+        X, labels, categories = _multicategory_problem(2, categories=3, rows=300)
+        cfg = TrainConfig(c=10.0)
+        models = train_one_vs_rest(X, labels, categories, cfg)
+        assert os.getpid() not in trainer_pids(models)
+        for j in (0, 2):
+            alone = train_binary_svm(X, np.where(labels[:, j], 1, -1).tolist(), cfg)
+            assert len(alone.objective_history) > 1
+            assert alone.steps == learn._CHECK_EVERY * len(alone.objective_history)
+            _assert_same_model(models[categories[j]], alone)
 
     def test_worker_exception_reaches_caller(self, forced_pool, monkeypatch):
         parent = os.getpid()
