@@ -144,8 +144,9 @@ def make_fold_runner(counts: sp.csr_matrix, labels, categories: tuple[str, ...],
                      cfg: ExperimentConfig, counters: Counter):
     """Train and predict each fold on row selections of the term counts and
     of ``labels``, their bool label matrix. Each fold adds the number of its
-    models, their gap checks, their SMO steps and how many stopped uncertified
-    to ``counters``, and keeps its models only when they are to be saved."""
+    models, their gap checks, their SMO steps, the Gram rows they computed
+    and how many stopped uncertified to ``counters``, and keeps its models
+    only when they are to be saved."""
     mode = cfg.resolved_label_mode()
     train_cfg = TrainConfig(c=cfg.svm_c, tolerance=cfg.svm_tolerance,
                             max_epochs=cfg.svm_max_epochs)
@@ -159,6 +160,7 @@ def make_fold_runner(counts: sp.csr_matrix, labels, categories: tuple[str, ...],
             counters["learn.binary_models"] += 1
             counters["learn.epochs"] += len(model.objective_history)
             counters["learn.steps"] += model.steps
+            counters["learn.gram_rows"] += model.gram_rows
             counters["learn.uncertified"] += not model.certified
         pred = predict(models, vectorize(counts[test], vocab), mode, categories)
         return labels[test], pred, models if cfg.save_models else None
@@ -176,8 +178,11 @@ def _hash_file(path: Path, digest) -> None:
 def _sha256_path(path: Path) -> str:
     digest = hashlib.sha256()
     if path.is_dir():
+        # the path, a NUL and the size delimit each file's contents, so no
+        # two trees feed the same bytes
         for child in sorted(p for p in path.rglob("*") if p.is_file()):
-            digest.update(str(child.relative_to(path)).encode())
+            digest.update(str(child.relative_to(path)).encode() + b"\0")
+            digest.update(child.stat().st_size.to_bytes(8, "big"))
             _hash_file(child, digest)
     else:
         _hash_file(path, digest)

@@ -33,13 +33,13 @@ index and value. Outside the low set the gain's difference is -inf and
 clips to a gain of 0, below the positive gain of the pair picked. A step
 makes 17 whole-array numpy operations.
 
-Past ``_GRAM_LIMIT`` training points a model computes its Gram rows on
-demand, with one CSR matvec each, and keeps the most recently used ones in
-an LRU cache of up to ``_GRAM_LIMIT**2`` floats, the dense Gram's own
-budget. A cached row is the array the matvec returned, so the rows, and the
-model, are the same floats as without the cache. The cache belongs to one
-``train_binary_svm`` call: it lives in the worker process that trains the
-model when the pool below runs, and in the calling process otherwise.
+A model reads its Gram rows from a ``GramRows`` source, which computes a
+row when first asked for, with one CSR matvec, and keeps the most recently
+used rows in an LRU cache of up to ``_GRAM_LIMIT**2`` floats: every row up
+to ``_GRAM_LIMIT`` training points. A cached row is the array the matvec
+returned, so the models are the same floats whichever rows the cache
+holds. ``train_one_vs_rest`` hands one source to every category of a fold,
+so a cached row is computed once for all; each pool worker makes its own.
 
 The categories are independent binary problems. Past ``_GRAM_LIMIT``
 training points a model costs far more than a pool's start-up, so on Linux
@@ -68,9 +68,9 @@ import scipy.sparse as sp
 logger = logging.getLogger(__name__)
 
 _KKT_EPS = 1e-8
-# precompute the Gram matrix up to this many points; past it each row is
-# computed when needed and each model keeps its recently used rows. Both are
-# bounded by _GRAM_LIMIT**2 floats (about 33.5 MB of float64 at 2,048)
+# a fold's Gram rows are cached up to _GRAM_LIMIT**2 floats (about 33.5 MB
+# of float64 at 2,048), every row up to this many points; past it the
+# categories train in a worker pool
 _GRAM_LIMIT = 2048
 # the duality gap is checked after every min(n, _CHECK_EVERY) steps
 _CHECK_EVERY = 256
@@ -96,6 +96,37 @@ class LinearModel:
     rel_gap: float = math.nan
     # the number of SMO pair updates the trainer made
     steps: int = 0
+    # the Gram rows computed by matvec for this model's requests
+    gram_rows: int = 0
+
+
+class GramRows:
+    """Rows of ``X @ X.T`` for a training matrix ``X``, each computed when
+    first asked for and kept in an LRU cache of up to ``_GRAM_LIMIT**2``
+    floats (two rows at least); ``diag`` is the Gram's diagonal."""
+
+    def __init__(self, X: sp.csr_matrix):
+        self.X = X
+        self.diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        self.computed = 0  # rows computed by matvec
+        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    def __call__(self, i: int) -> np.ndarray:
+        row = self._cache.pop(i, None)
+        if row is None:
+            # x_i as a dense vector times X: like the sparse product X @ X.T,
+            # the matvec sums each output over that row's stored columns in
+            # ascending order, so the rows are the Gram's bits. A hit
+            # returns the array the matvec made
+            start, end = self.X.indptr[i], self.X.indptr[i + 1]
+            x_i = np.zeros(self.X.shape[1])
+            x_i[self.X.indices[start:end]] = self.X.data[start:end]
+            row = self.X @ x_i
+            self.computed += 1
+            if len(self._cache) >= max(2, _GRAM_LIMIT**2 // self.X.shape[0]):
+                self._cache.popitem(last=False)
+        self._cache[i] = row
+        return row
 
 
 def _best_bias(f: np.ndarray, ya: np.ndarray) -> float:
@@ -116,9 +147,10 @@ def train_binary_svm(
     X: sp.csr_matrix,
     y: list[int],
     cfg: TrainConfig | None = None,
+    rows: GramRows | None = None,
 ) -> LinearModel:
-    """Train one binary classifier on the rows of ``X``; labels must be +1
-    or -1.
+    """Train one binary classifier on the rows of ``X``, reading its Gram
+    rows from ``rows`` (made anew when None); labels must be +1 or -1.
 
     Single-class input degenerates to a zero weight vector with the class
     sign as bias (and a warning). Otherwise the returned model's primal
@@ -146,7 +178,8 @@ def train_binary_svm(
     c = float(cfg.c)
     ya = np.asarray(y, dtype=np.float64)
 
-    diag = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    rows = rows or GramRows(X)
+    first = rows.computed
     snap = 1e-12 * max(1.0, c)
 
     def snap_bound(value: float) -> float:
@@ -154,36 +187,6 @@ def train_binary_svm(
         if value < snap:
             return 0.0
         return c if value > c - snap else value
-
-    if n <= _GRAM_LIMIT:
-        gram = (X @ X.T).toarray()
-
-        def gram_row(i: int) -> np.ndarray:
-            return gram[i]
-    else:
-        # scatter x_i into a dense work vector and take one CSR matvec: like
-        # the sparse product behind the precomputed Gram, it sums each
-        # output over that row's stored columns in ascending order, so the
-        # rows are bit-identical to the Gram's. The LRU cache holds at least
-        # a step's pair of rows, and a hit returns the array the matvec made
-        work = np.zeros(dim)
-        cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        cap = max(2, _GRAM_LIMIT**2 // n)
-
-        def gram_row(i: int) -> np.ndarray:
-            row = cache.get(i)
-            if row is not None:
-                cache.move_to_end(i)
-                return row
-            start, end = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[start:end]
-            work[cols] = X.data[start:end]
-            row = X @ work
-            work[cols] = 0.0
-            if len(cache) >= cap:
-                cache.popitem(last=False)
-            cache[i] = row
-            return row
 
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = w . x_i, maintained incrementally
@@ -234,9 +237,9 @@ def train_binary_svm(
             # pick the one with the largest quadratic gain for the pair.
             # diff is -inf outside low, so every non-candidate scores 0,
             # below the m_low index's gain (its diff is above _KKT_EPS)
-            row_i = gram_row(i)
+            row_i = rows(i)
             diff = F_i - F_low
-            eta_vec = np.maximum(diag[i] + diag - 2.0 * row_i, 1e-12)
+            eta_vec = np.maximum(rows.diag[i] + rows.diag - 2.0 * row_i, 1e-12)
             gain = np.maximum(diff, 0.0)
             gain *= gain
             gain /= eta_vec
@@ -263,7 +266,7 @@ def train_binary_svm(
             alpha[i], alpha[j] = a_i_new, a_j_new
             set_masks(i, a_i_new)
             set_masks(j, a_j_new)
-            f += d_i * row_i + d_j * gram_row(j)
+            f += d_i * row_i + d_j * rows(j)
             moved = True
             steps += 1
 
@@ -288,21 +291,22 @@ def train_binary_svm(
     w = np.asarray(X.T @ (best["alpha"] * ya)).ravel()
     return LinearModel(weights=w, bias=best["b"],
                        objective=best["P"], objective_history=history,
-                       certified=certified, rel_gap=rel_gap, steps=steps)
+                       certified=certified, rel_gap=rel_gap, steps=steps,
+                       gram_rows=rows.computed - first)
 
 
-# the fold's training matrix in a worker process, set by the pool's
-# initializer from the matrix the fork copied
-_worker_X: sp.csr_matrix | None = None
+# the Gram-row source of the fold's training matrix in a worker process, set
+# by the pool's initializer from the matrix the fork copied
+_worker_rows: GramRows | None = None
 
 
-def _set_worker_matrix(X: sp.csr_matrix) -> None:
-    global _worker_X
-    _worker_X = X
+def _set_worker_rows(X: sp.csr_matrix) -> None:
+    global _worker_rows
+    _worker_rows = GramRows(X)
 
 
 def _train_in_worker(y: list[int], cfg: TrainConfig | None) -> LinearModel:
-    return train_binary_svm(_worker_X, y, cfg)
+    return train_binary_svm(_worker_rows.X, y, cfg, rows=_worker_rows)
 
 
 def train_one_vs_rest(
@@ -342,11 +346,12 @@ def train_one_vs_rest(
         # only its labels and the config
         with ProcessPoolExecutor(min(len(targets), cpus),
                                  mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_worker_matrix,
+                                 initializer=_set_worker_rows,
                                  initargs=(X,)) as pool:
             trained = list(pool.map(_train_in_worker, targets, [cfg] * len(targets)))
     else:
-        trained = [train_binary_svm(X, y, cfg) for y in targets]
+        rows = GramRows(X)
+        trained = [train_binary_svm(X, y, cfg, rows=rows) for y in targets]
     return dict(zip(names, trained))
 
 

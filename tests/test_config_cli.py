@@ -393,6 +393,7 @@ class TestRunExperiment:
             "count.learn.binary_models": str(len(models)),
             "count.learn.epochs": str(sum(len(m.objective_history) for m in models)),
             "count.learn.steps": str(sum(m.steps for m in models)),
+            "count.learn.gram_rows": str(sum(m.gram_rows for m in models)),
             "count.learn.uncertified": str(sum(not m.certified for m in models)),
         }
         assert {k: v for k, v in manifest.items() if k.startswith("count.")} == expected
@@ -402,12 +403,17 @@ class TestRunExperiment:
         lines = (tmp_path / "run" / "manifest.txt").read_text(encoding="utf-8")
         assert "".join(f"{k} = {v}\n" for k, v in expected.items()) in lines
 
-        # the same counts when every fold's categories train in workers
-        monkeypatch.setattr(experiment, "train_one_vs_rest", original)
+        # the same counts when every fold's categories train in workers, but
+        # for the Gram rows: those the workers compute are counted too, and
+        # with the pool's 2-row caches they are computed again and again
+        fold_models.clear()
         request.getfixturevalue("forced_pool")
         forked = run_experiment(replace(cfg, out_dir=""))
-        assert {k: v for k, v in forked.manifest.items() if k.startswith("count.")} == \
-            expected
+        forked_counts = {k: v for k, v in forked.manifest.items() if k.startswith("count.")}
+        forked_rows = sum(m.gram_rows for fold in fold_models for m in fold.values())
+        assert forked_counts.pop("count.learn.gram_rows") == str(forked_rows)
+        assert forked_rows > int(expected.pop("count.learn.gram_rows"))
+        assert forked_counts == expected
 
     def test_vocabulary_fitted_on_train_only(self, separable_corpus, monkeypatch):
         # hygiene: each fold's df counts exactly its training documents
@@ -508,14 +514,24 @@ class TestChecksums:
         assert _sha256_path(path) == hashlib.sha256(data).hexdigest()
 
     def test_tree_digest_pinned(self, tmp_path):
-        # relative path then contents, file by file in path order; the digest
-        # pins that format, so a corpus keeps its manifest checksum
+        # relative path, a NUL, the size as 8 big-endian bytes, then contents,
+        # file by file in path order; the digest pins that format, so a
+        # corpus keeps its manifest checksum
         (tmp_path / "sub").mkdir()
         (tmp_path / "a.txt").write_bytes(b"alpha\n")
         (tmp_path / "sub" / "b.bin").write_bytes(bytes(range(256)))
         (tmp_path / "sub" / "c").write_bytes(b"")
         assert _sha256_path(tmp_path) == (
-            "45ce31be036bb76e1fd4f4c5672d4dc95ca9fcd4709850c038b678bad6ee963f")
+            "8f2e9116d540c891656d3f1201df5590538bc4998a2a634f1968b62d7f4d886e")
+
+    def test_trees_differing_only_in_where_a_name_ends_differ(self, tmp_path):
+        # file "a" holding "bc" and file "ab" holding "c": the same bytes
+        # when path and contents are fed with nothing between them
+        (tmp_path / "one").mkdir()
+        (tmp_path / "two").mkdir()
+        (tmp_path / "one" / "a").write_bytes(b"bc")
+        (tmp_path / "two" / "ab").write_bytes(b"c")
+        assert _sha256_path(tmp_path / "one") != _sha256_path(tmp_path / "two")
 
 
 class TestImprovementTable:
@@ -867,9 +883,9 @@ class TestCli:
 
         parent = os.getpid()
 
-        def failing(X, y, cfg=None):
+        def failing(X, y, cfg=None, rows=None):
             if os.getpid() == parent:
-                return original(X, y, cfg)
+                return original(X, y, cfg, rows)
             raise ValueError("trainer failed in a worker")
 
         original = learn.train_binary_svm

@@ -118,7 +118,7 @@ def _random_sparse_problem(seed: int, n: int = 80, dim: int = 40):
 
 class _MatvecCountingCSR(sp.csr_matrix):
     """A CSR matrix that records the operand of each matrix-vector product:
-    the trainer computes one Gram row per product past the Gram limit."""
+    the trainer computes one Gram row per product."""
 
     def __matmul__(self, other):
         if np.ndim(other) == 1:
@@ -440,6 +440,33 @@ class TestOneVsRest:
         with pytest.raises(ValueError):
             train_one_vs_rest(_csr([[1.0], [-1.0]]), label_matrix([{"a"}], ["a"]), ["a"])
 
+    def test_categories_share_each_gram_row(self, monkeypatch):
+        # 60 rows, each owned by one of 4 categories through a strong
+        # feature: the fold asks for few rows, and past a limit of 59 a
+        # cache of 58 rows holds all of them. One CPU keeps the serial loop
+        rng = np.random.default_rng(0)
+        owner = rng.integers(0, 4, 60)
+        dense = rng.random((60, 20)) * (rng.random((60, 20)) < 0.3)
+        dense[np.arange(60), owner] += 2.0
+        X = _MatvecCountingCSR(dense)
+        X.operands = []
+        labels, names = owner[:, None] == np.arange(4), ["c0", "c1", "c2", "c3"]
+        monkeypatch.setattr(learn, "_GRAM_LIMIT", 59)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        models = train_one_vs_rest(X, labels, names)
+        assert len(models) == 4 and len(X.operands) <= 58
+        # no row is computed twice, and each is credited to one model
+        assert len(set(X.operands)) == len(X.operands)
+        assert sum(m.gram_rows for m in models.values()) == len(X.operands)
+        for j, model in enumerate(models.values()):
+            alone = train_binary_svm(X, np.where(labels[:, j], 1, -1).tolist())
+            _assert_same_model(model, alone)
+            assert model.steps == alone.steps
+            # the first model computes every row it asks for; the later
+            # ones find some of theirs already computed
+            assert (model.gram_rows == alone.gram_rows) if j == 0 else \
+                (model.gram_rows < alone.gram_rows)
+
 
 def _multicategory_problem(seed: int, categories: int = 5, rows: int = 50):
     """A sparse non-negative matrix and a bool label matrix in which
@@ -456,8 +483,8 @@ def _multicategory_problem(seed: int, categories: int = 5, rows: int = 50):
 def trainer_pids(monkeypatch):
     """The process id of every ``train_binary_svm`` call, kept on the model
     it returns (a forked worker inherits the patched module)."""
-    def recording(X, y, cfg=None):
-        model = original(X, y, cfg)
+    def recording(X, y, cfg=None, rows=None):
+        model = original(X, y, cfg, rows)
         model.trained_in = os.getpid()
         return model
 
@@ -518,9 +545,9 @@ class TestForkedOneVsRest:
     def test_worker_exception_reaches_caller(self, forced_pool, monkeypatch):
         parent = os.getpid()
 
-        def failing(X, y, cfg=None):
+        def failing(X, y, cfg=None, rows=None):
             if os.getpid() == parent:
-                return train_binary_svm(X, y, cfg)
+                return train_binary_svm(X, y, cfg, rows)
             raise ValueError(f"no model for {sum(v > 0 for v in y)} positives")
 
         monkeypatch.setattr(learn, "train_binary_svm", failing)
@@ -532,7 +559,7 @@ class TestForkedOneVsRest:
     def test_dead_worker_is_an_error(self, forced_pool, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
-        monkeypatch.setattr(learn, "train_binary_svm", lambda X, y, cfg=None: os._exit(3))
+        monkeypatch.setattr(learn, "train_binary_svm", lambda X, y, cfg=None, rows=None: os._exit(3))
         X, labels, categories = _multicategory_problem(0)
         with pytest.raises(BrokenProcessPool):
             train_one_vs_rest(X, labels, categories)
