@@ -206,8 +206,10 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config file at ``path``, whose relative paths are taken from its
+    folder; a UTF-8 byte-order mark is skipped."""
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_config_text(path.read_text(encoding="utf-8-sig"), base_dir=path.parent)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, str]:

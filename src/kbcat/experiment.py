@@ -220,6 +220,9 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
 
     counts = stage("prepare", lambda: prepare_documents(
         _handed_over(admitted), cfg, index, resources))
+    # nothing after enrichment reads the KB, so its columns and postings do
+    # not stay resident while the folds train
+    del index
     counters: Counter = Counter()
 
     def evaluate():

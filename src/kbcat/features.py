@@ -45,12 +45,22 @@ def document_terms(doc: TaggedDocument) -> list[str]:
     return [_stem(w.lower()) for w in doc.tokens] + [t.lower() for t in doc.injected]
 
 
+def unit_counts(n: int, longest: int) -> np.ndarray:
+    """``n`` ones of the narrowest signed integer type that holds ``longest``
+    (int8, int16, else int32), the length of the longest row they count
+    terms in. A term's count in a row cannot exceed the row's length, so
+    summing a row's ones for a term is exact in that type."""
+    dtype = next((t for t in (np.int8, np.int16) if longest <= np.iinfo(t).max), np.int32)
+    return np.ones(n, dtype=dtype)
+
+
 def count_terms(docs: Iterable[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
     """Term counts of the documents, read one at a time (a generator's can be
     dropped once counted), a row each in input order, and the sorted terms
     naming the columns. Each document's term ids are laid end to end in an
     int32 array, so no per-term object outlives its document; summing the
-    repeats of a row of ones gives the counts."""
+    repeats of a row of ones (``unit_counts``) gives the counts, which come
+    out as int32."""
     ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     term_ids, ends = array("i"), array("q", [0])
     for doc in docs:
@@ -61,16 +71,17 @@ def count_terms(docs: Iterable[TaggedDocument]) -> tuple[sp.csr_matrix, list[str
     column[[ids[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
     tokens = column[np.frombuffer(term_ids, np.int32)]
     del term_ids
-    matrix = sp.csr_matrix((np.ones(len(tokens), dtype=np.int32), tokens, ends),
-                           shape=(len(ends) - 1, len(ids)))
-    del tokens
+    ones = unit_counts(len(tokens), np.diff(ends).max(initial=0))
+    matrix = sp.csr_matrix((ones, tokens, ends), shape=(len(ends) - 1, len(ids)))
+    del tokens, ones
     matrix.sum_duplicates()
     # sum_duplicates keeps views of the token-sized buffers while at least
     # half the entries remain. The matrix holds the only references to
-    # them, so copying one array at a time frees each buffer before the
-    # next copy is made, and the copies add nothing to peak memory
+    # them, so copying one array at a time (the widening to int32 is the
+    # second copy) frees each buffer before the next copy is made, and the
+    # copies add nothing to peak memory
     matrix.indices = matrix.indices.copy()
-    matrix.data = matrix.data.copy()
+    matrix.data = matrix.data.astype(np.int32)
     return matrix, terms
 
 

@@ -59,6 +59,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .features import unit_counts
 from .textproc import DELIMITER_CHARS, lowercase_words
 
 
@@ -327,9 +328,13 @@ class KbIndex:
         One pass lays each record's term ids end to end in record order:
         the rows of a record x term matrix of ones, whose stable transpose
         (scipy's counting sort) with each record's repeats summed is the
-        postings. The build peaks at about 17 B a token, 16 of them the term
-        ids, the ones and the transpose; ids and tfs are copied to exact
-        size once the first two are freed."""
+        postings. The ones are of the narrowest integer type that holds the
+        longest record's token count (``unit_counts``), which is exact: a
+        term's count in a record cannot exceed the record's length. With
+        int8 ones the build peaks at about 10 B a token plus the term ->
+        row map: the term ids, the ones and the transpose. ids are copied
+        to exact size and the transpose's token-sized index buffer freed
+        before the counts are widened to int32."""
         built = self._fields.get(fname)
         if built is None:
             column = getattr(self._kb, _COLUMNS[fname])
@@ -342,14 +347,17 @@ class KbIndex:
                 if cell:
                     term_ids.extend(map(rows.__getitem__, terms_of(cell)))
                 ends.append(len(term_ids))
-            ones = np.ones(len(term_ids), dtype=np.int32)
+            rows.default_factory = None  # the term -> row map is complete
+            lengths = np.diff(ends).astype(np.int32)
+            ones = unit_counts(len(term_ids), lengths.max(initial=0))
             postings = sp.csr_matrix((ones, np.frombuffer(term_ids, dtype=np.int32), ends),
-                                     shape=(len(ends) - 1, len(rows))).tocsc()
+                                     shape=(len(lengths), len(rows))).tocsc()
             del term_ids, ones
             postings.sum_duplicates()
+            starts, ids, tfs = postings.indptr, postings.indices.copy(), postings.data
+            del postings  # frees the index buffer; tfs may still view its data
             built = self._fields[fname] = _Field(
-                dict(rows), postings.indptr, postings.indices.copy(), postings.data.copy(),
-                np.diff(ends).astype(np.int32))
+                rows, starts, ids, tfs.astype(np.int32), lengths)
         return built
 
     def _postings(self, clause: QueryClause) -> _Postings:
@@ -527,10 +535,10 @@ def load_kb_dump(path: str | Path) -> KbColumns:
     """Read the TAB-separated dump: title, page_rank, redirects,
     entity_types, categories, linked_concepts, contents. List fields use
     '|' between items; an empty field is an empty string. The cells are
-    kept as they are, in dump order."""
+    kept as they are, in dump order; a UTF-8 byte-order mark is skipped."""
     kb = KbColumns([], array("q"), [], [], [], [], [])
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -103,9 +103,10 @@ class Gazetteer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
-        """Read ``surface<TAB>KIND`` lines, KIND in PERSON/LOCATION/ORGANIZATION."""
+        """Read ``surface<TAB>KIND`` lines, KIND in PERSON/LOCATION/ORGANIZATION;
+        a UTF-8 byte-order mark is skipped."""
         gaz = cls()
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -205,9 +206,9 @@ def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocu
 
 def load_word_list(path: str | Path) -> set[str]:
     """A stop list or noun lexicon: one word per line, lowercased; blank
-    lines and # comments skipped."""
+    lines, # comments and a UTF-8 byte-order mark skipped."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             word = line.strip().lower()
             if word and not word.startswith("#"):

@@ -73,6 +73,12 @@ class TestLoadConfig:
         assert cfg.dataset == "custom"
         assert Path(cfg.stoplist).exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, separable_corpus, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(_config_text(separable_corpus), encoding="utf-8")
+        marked.write_text(_config_text(separable_corpus), encoding="utf-8-sig")
+        assert load_config(marked) == load_config(plain)
+
     def test_unknown_key_named(self, separable_corpus):
         with pytest.raises(ConfigError, match="foo"):
             parse_config_text(_config_text(separable_corpus) + "foo = 1\n")
@@ -337,6 +343,34 @@ class TestRunExperiment:
         result = run_experiment(parse_config_text(_config_text(separable_corpus)))
         assert len(refs) == 80 and alive_after_prepare == [0]
         assert result.micro_f == 1.0
+
+    def test_index_is_released_once_documents_are_enriched(self, separable_corpus,
+                                                          tmp_path, monkeypatch):
+        # nothing after enrichment reads the KB, so the index made by the
+        # index stage is gone before any fold trains
+        import weakref
+
+        from kbcat import experiment
+
+        refs, alive_at_training = [], []
+
+        def indexing(*args):
+            index = make_index(*args)
+            refs.append(weakref.ref(index))
+            return index
+
+        def training(*args):
+            alive_at_training.append(sum(ref() is not None for ref in refs))
+            return train(*args)
+
+        make_index, train = experiment.KbIndex, experiment.train_one_vs_rest
+        monkeypatch.setattr(experiment, "KbIndex", indexing)
+        monkeypatch.setattr(experiment, "train_one_vs_rest", training)
+        kb = tmp_path / "kb.tsv"
+        synth.write_kb_dump(synth.build_kb(), kb)
+        run_experiment(parse_config_text(
+            _config_text(separable_corpus, preset="A4", kb_dump=kb)))
+        assert len(refs) == 1 and alive_at_training == [0] * 4
 
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -80,6 +80,20 @@ class TestCountTerms:
         counts, terms = count_terms([])
         assert counts.shape == (0, 0) and terms == []
 
+    @pytest.mark.parametrize("length", [127, 128, 32_767, 32_768])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-term", "mixed"])
+    def test_counts_exact_at_the_type_boundaries(self, length, mixed):
+        # the ones summed are int8 up to 127 terms in the longest document,
+        # int16 up to 32,767, else int32; the counts come out as int32
+        words = ["x" if i % 4 or not mixed else f"w{i % 7}" for i in range(length)]
+        docs = [make_tagged(words), make_tagged(["x", "y", "x"])]
+        counts, terms = count_terms(docs)
+        for row, doc in zip(counts.toarray().tolist(), docs):
+            assert {terms[c]: n for c, n in enumerate(row) if n} == Counter(document_terms(doc))
+        assert counts.dtype == np.int32
+        for array in (counts.indices, counts.data):
+            assert array.base is None and array.size == counts.nnz
+
 
 class TestFitVocabulary:
     def test_counts(self):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -179,6 +180,58 @@ class TestLazyFields:
     def test_repeated_list_item_counts_twice(self):
         index = KbIndex([KnowledgeRecord(title="r", categories=["A", "A"])])
         assert field_as_dicts(index, FieldName.CATEGORIES) == ({"a": {"r": 2}}, {"r": 2})
+
+
+class TestNarrowCounts:
+    """A field's ones are of the narrowest integer type that holds its
+    longest record's token count: int8 up to 127 tokens, int16 up to
+    32,767, else int32. The counts summed in that type stay exact and come
+    out as int32."""
+
+    @pytest.mark.parametrize("length", [127, 128, 32_767, 32_768])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-term", "mixed"])
+    def test_counts_exact_at_the_type_boundaries(self, length, mixed):
+        # one term repeated, or x in three words of four among seven others
+        words = ["x" if i % 4 or not mixed else f"w{i % 7}" for i in range(length)]
+        records = [KnowledgeRecord(title="long", contents=" ".join(words)),
+                   KnowledgeRecord(title="short", contents="x y x")]
+        index = KbIndex(records)
+        counts = {r.title: Counter(r.contents.split()) for r in records}
+        postings, lengths = field_as_dicts(index, FieldName.CONTENTS)
+        assert postings == {term: {title: c[term] for title, c in counts.items() if term in c}
+                            for term in set().union(*counts.values())}
+        assert lengths == {"long": length, "short": 3}
+        field = index._field(FieldName.CONTENTS)
+        for arr in (field.ids, field.tfs, field.lengths):
+            assert arr.dtype == np.int32
+            assert arr.base is None or memoryview(arr.base).nbytes == arr.nbytes
+
+    def test_contents_build_peak_per_token(self):
+        # 1,000 records of 40-120 tokens (int8 ones) drawn Zipf from 500
+        # words. With int32 ones the build peaked at 16.8 B a token; with
+        # int8 ones, and ids copied to exact size before the counts are
+        # widened, at 10.9. The bound leaves about 3 B a token on each side
+        rng = random.Random(20261020)
+        vocab = [f"w{i}" for i in range(500)]
+        weights = [1 / (i + 1) for i in range(500)]
+        index = KbIndex(KnowledgeRecord(
+            title=f"r{i:04d}", contents=" ".join(rng.choices(vocab, weights, k=rng.randint(40, 120))))
+            for i in range(1000))
+        index._sorted()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            field = index._field(FieldName.CONTENTS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        tokens = int(field.lengths.sum())
+        assert tokens >= 50_000 and field.lengths.max() < 128
+        assert peak / tokens < 14.0
 
 
 class TestParseQuery:
@@ -867,6 +920,19 @@ class TestDumpIO:
         kb = load_kb_dump(path)
         assert list(kb.page_ranks) == [2**63 - 1]
         assert KbIndex(kb).get_record("t").page_rank == 2**63 - 1
+
+    def test_byte_order_mark_is_not_part_of_the_first_title(self, tmp_path):
+        text = "Alpha\t3\t\t\t\t\tfirst record\nBeta\t1\t\t\t\t\tsecond\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        kb = load_kb_dump(marked)
+        assert kb == load_kb_dump(plain)
+        index = KbIndex(kb)
+        assert index.get_record("Alpha") == KnowledgeRecord(
+            title="Alpha", contents="first record", page_rank=3)
+        assert [h.record_title for h in index.search(parse_query("wikiTitle:alpha"), 5)] \
+            == ["Alpha"]
 
     def test_pipe_rejected_on_save(self, tmp_path):
         record = KnowledgeRecord(title="t", categories=["a|b"])

@@ -143,24 +143,25 @@ def _assert_same_model(found: LinearModel, expected: LinearModel):
 
 
 class TestOnDemandGramRows:
-    """Past ``_GRAM_LIMIT`` the trainer computes each Gram row when it needs
-    it and keeps the recently used ones in an LRU cache of
-    ``max(2, _GRAM_LIMIT**2 // n)`` rows. A limit of 0 sends every problem
-    down that path with the cache at its 2-row floor."""
+    """The trainer reads every Gram row from one ``GramRows`` source, which
+    computes a row when first asked for and keeps the recently used ones in
+    an LRU cache of ``max(2, _GRAM_LIMIT**2 // n)`` rows. At the default
+    limit the cache holds every row of these problems; a limit of 0 shrinks
+    it to its 2-row floor. Either way the model is the same."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
-    def test_same_model_as_precomputed_gram(self, monkeypatch, seed, c):
+    def test_two_row_cache_gives_the_all_rows_model(self, monkeypatch, seed, c):
         X, y = _random_sparse_problem(seed)
         cfg = TrainConfig(c=c)
-        precomputed = train_binary_svm(X, y, cfg)
+        all_rows = train_binary_svm(X, y, cfg)
         monkeypatch.setattr(learn, "_GRAM_LIMIT", 0)
-        on_demand = train_binary_svm(X, y, cfg)
+        two_rows = train_binary_svm(X, y, cfg)
         if c >= 1.0:
-            assert len(precomputed.objective_history) > 1
-        assert np.array_equal(on_demand.weights, precomputed.weights)
-        assert on_demand.bias == precomputed.bias
-        assert on_demand.objective_history == precomputed.objective_history
+            assert len(all_rows.objective_history) > 1
+        assert np.array_equal(two_rows.weights, all_rows.weights)
+        assert two_rows.bias == all_rows.bias
+        assert two_rows.objective_history == all_rows.objective_history
 
     @pytest.mark.parametrize("idx", [0, 1, 4, 7])
     def test_objective_within_tolerance_of_oracle(self, monkeypatch, idx):
@@ -184,15 +185,15 @@ class TestOnDemandGramRows:
     def test_row_cache_keeps_the_model_and_saves_matvecs(self, monkeypatch, seed, c):
         X, y = _random_sparse_problem(seed)
         cfg = TrainConfig(c=c)
-        precomputed = train_binary_svm(X, y, cfg)
+        all_rows = train_binary_svm(X, y, cfg)
         if c >= 1.0:
-            assert len(precomputed.objective_history) > 1
+            assert len(all_rows.objective_history) > 1
         # on 80 rows: caches of 2 rows (the floor), 20 and 78
         operands = {}
         for limit in (0, 40, 79):
             monkeypatch.setattr(learn, "_GRAM_LIMIT", limit)
             model, operands[limit] = _train_counting(X, y, cfg)
-            _assert_same_model(model, precomputed)
+            _assert_same_model(model, all_rows)
         asked = set(operands[0])
         # an LRU cache that holds more rows never computes more of them;
         # the 20-row cache evicts rows it is asked for again

@@ -175,12 +175,28 @@ class TestGazetteerLoad:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown entity kind"):
             Gazetteer.load(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path):
+        text = "Reno\tLOCATION\nClayton Cramer\tPERSON\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        gaz = Gazetteer.load(marked)
+        assert gaz._entries == Gazetteer.load(plain)._entries
+        assert gaz.lookup(("reno",)) is EntityTag.LOCATION
+
 
 class TestLoadWordList:
     def test_lowercased_without_blanks_and_comments(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("# a comment\nThe\n\n  Boss \nthe\n", encoding="utf-8")
         assert load_word_list(path) == {"the", "boss"}
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("the\nboss\n", encoding="utf-8")
+        marked.write_text("the\nboss\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_word_list(marked) == load_word_list(plain) == {"the", "boss"}
 
 
 class TestFilterNouns:
