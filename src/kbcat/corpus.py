@@ -46,6 +46,8 @@ _MARKUP_RE = re.compile(
 _ATTR_RE = re.compile(r"([A-Za-z]+)\s*=\s*\"([^\"]*)\"")
 _ENTITY_RE = re.compile(r"&(#\d+|[A-Za-z][A-Za-z0-9]*);")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
+# the blank line that ends a post's headers, in a file of LF or of CRLF lines
+_HEADER_END_RE = re.compile(r"\n\r?\n")
 
 _KNOWN_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
@@ -181,8 +183,8 @@ def load_20newsgroups(root: str | Path) -> list[RawDocument]:
                 logger.warning("skipping unreadable file %s: %s", doc_path, exc)
                 skipped += 1
                 continue
-            head, sep, tail = raw.partition("\n\n")
-            body = tail.strip() if sep else raw.strip()
+            # a file without the blank line is all body
+            body = _HEADER_END_RE.split(raw, 1)[-1].strip()
             docs.append(
                 RawDocument(
                     id=f"{category}/{doc_path.name}",

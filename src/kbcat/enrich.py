@@ -228,5 +228,4 @@ def apply_preset(
     tagged = represent(doc, preset.representation, resources)
     if not preset.strategies or index is None:
         return tagged
-    stoplist = resources.stopwords or set()
-    return replace(tagged, injected=enrichment_terms(tagged, preset, index, stoplist))
+    return replace(tagged, injected=enrichment_terms(tagged, preset, index, resources.stopwords))

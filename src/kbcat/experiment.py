@@ -342,9 +342,10 @@ def parse_metrics_tsv(path: Path) -> dict[str, dict[str, tuple[float, ...]]]:
     """The run rows (four scores each) and category rows (precision,
     recall, F, then ``-``) of a metrics TSV. Every score must be a number
     in [0, 1], line 1 must be the header ``format_metrics_tsv`` writes, and
-    a ``mean`` or ``overall`` run row must be present."""
+    a ``mean`` or ``overall`` run row must be present. A UTF-8 byte-order
+    mark is skipped."""
     parsed: dict[str, dict[str, tuple[float, ...]]] = {"runs": {}, "categories": {}}
-    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines() or [""]
     if lines[0] != METRICS_HEADER:
         raise ValueError(f"{path}:1: expected the header line {METRICS_HEADER!r}, "
                          f"got {lines[0]!r}")

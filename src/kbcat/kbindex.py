@@ -54,7 +54,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,13 +148,6 @@ def _items(cell: str) -> list[str]:
     return [item for item in cell.split("|") if item]
 
 
-def _join_items(items: list[str]) -> str:
-    for item in items:
-        if not item or "|" in item:
-            raise ValueError(f"a list item must be non-empty and hold no '|': {item!r}")
-    return "|".join(items)
-
-
 def _entity_type_terms(cell: str) -> list[str]:
     return [normalize_entity_type(item) for item in _items(cell)]
 
@@ -176,26 +169,6 @@ class KbColumns:
 
     def __len__(self) -> int:
         return len(self.titles)
-
-    @classmethod
-    def from_records(cls, records: Iterable[KnowledgeRecord]) -> KbColumns:
-        """The columns of records whose titles are unique and whose list
-        items are non-empty and hold no '|', so ``record`` gives each one
-        back unchanged."""
-        kb = cls([], array("q"), [], [], [], [], [])
-        seen: set[str] = set()
-        for r in records:
-            if r.title in seen:
-                raise DuplicateTitleError(f"duplicate record title: {r.title!r}")
-            seen.add(r.title)
-            kb.titles.append(r.title)
-            kb.page_ranks.append(r.page_rank)
-            kb.redirects.append(_join_items(r.redirects))
-            kb.entity_types.append(_join_items(r.entity_types))
-            kb.categories.append(_join_items(r.categories))
-            kb.linked_concepts.append(_join_items(r.linked_concepts))
-            kb.contents.append(r.contents)
-        return kb
 
     def record(self, row: int) -> KnowledgeRecord:
         return KnowledgeRecord(
@@ -283,16 +256,15 @@ class KbIndex:
     so the columns must not change after construction: per field a term ->
     row dict, CSR postings of int32 record ids and int32 term counts, and
     an int32 token count per record; one int64 page-rank array covers all
-    records. Records given as ``KnowledgeRecord`` objects are turned into
-    columns (``KbColumns.from_records``).
+    records. The columns come from a dump (``load_kb_dump``).
 
     The record order with the rank array, every built field and the last
     query's scores are each stored whole, so concurrent searches need no
     locking: two threads may build the same arrays at once, and the second
     stores a result equal to the first."""
 
-    def __init__(self, kb: KbColumns | Iterable[KnowledgeRecord]) -> None:
-        self._kb = kb if isinstance(kb, KbColumns) else KbColumns.from_records(kb)
+    def __init__(self, kb: KbColumns) -> None:
+        self._kb = kb
         self._order: _Order | None = None
         self._fields: dict[FieldName, _Field] = {}
         self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None

@@ -31,10 +31,6 @@ _BYTES_TABLE = bytes.maketrans(DELIMITER_CHARS.encode("ascii"),
 NOUN_SUFFIXES = ("tion", "ment", "ness", "ity", "er", "or", "ism")
 
 
-class ResourceError(ValueError):
-    """A representation was requested without the resources it needs."""
-
-
 class Representation(Enum):
     T1 = "T1"
     T2 = "T2"
@@ -170,9 +166,9 @@ class TextResources:
     """Immutable bundle of the lexical resources the representations need;
     the stop words and the noun lexicon are sets of lowercase words."""
 
-    stopwords: set[str] | None = None
-    gazetteer: Gazetteer | None = None
-    nouns: set[str] = field(default_factory=set)
+    stopwords: set[str]
+    gazetteer: Gazetteer
+    nouns: set[str]
 
 
 def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocument:
@@ -190,13 +186,9 @@ def represent(doc, kind: Representation, resources: TextResources) -> TaggedDocu
         # text; both filters are per word, so the order changes no result
         words = filter_nouns(words, resources.nouns)
     if kind in (Representation.T1, Representation.T3, Representation.T4):
-        if resources.stopwords is None:
-            raise ResourceError(f"{kind.value} needs a stop-word list")
         words = remove_stopwords(words, resources.stopwords)
 
     if kind in (Representation.T2, Representation.T4):
-        if resources.gazetteer is None:
-            raise ResourceError(f"{kind.value} needs a gazetteer")
         tags = tag_entities(words, resources.gazetteer)
     else:
         tags = [EntityTag.NONE] * len(words)

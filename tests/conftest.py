@@ -1,16 +1,20 @@
 """Shared fixtures: the worked-example newsgroup post, the two-record
-knowledge-base sample, and the lexical resources the golden tests use."""
+knowledge-base sample and the index a run builds from records, and the
+lexical resources the golden tests use."""
 
 from __future__ import annotations
 
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from kbcat import learn
 from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
-from kbcat.kbindex import KbIndex, KnowledgeRecord
+from kbcat.kbindex import KbIndex, KnowledgeRecord, load_kb_dump
 from kbcat.textproc import EntityTag, Gazetteer, TaggedDocument
+from synth import write_kb_dump
 
 # A 20-Newsgroups style post used as the golden representation fixture.
 SAMPLE_POST = (
@@ -107,6 +111,16 @@ KAISER_RECORD = KnowledgeRecord(
 @pytest.fixture()
 def kb_sample() -> list[KnowledgeRecord]:
     return [HEALTH_RECORD, KAISER_RECORD]
+
+
+def kb_index(records: list[KnowledgeRecord]) -> KbIndex:
+    """The index of these records as a run builds it: written as a dump
+    (``write_kb_dump`` refuses a record the dump would not give back
+    unchanged) and read with ``load_kb_dump`` and its checks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kb.tsv"
+        write_kb_dump(records, path)
+        return KbIndex(load_kb_dump(path))
 
 
 def make_tagged(

@@ -169,15 +169,19 @@ def write_corpus_tree(docs: list[RawDocument], root: Path) -> None:
 
 
 def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
-    """Write the TAB-separated dump ``kbindex.load_kb_dump`` reads."""
+    """Write the TAB-separated dump ``kbindex.load_kb_dump`` reads. A record
+    the dump would not give back unchanged is refused: an empty title, an
+    empty list item or one holding '|', or a TAB or newline in a field."""
     def join(items: list[str]) -> str:
         for item in items:
-            if "|" in item:
-                raise ValueError(f"'|' not allowed inside list item: {item!r}")
+            if not item or "|" in item:
+                raise ValueError(f"a list item must be non-empty and hold no '|': {item!r}")
         return "|".join(items)
 
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
+            if not r.title:
+                raise ValueError(f"a record needs a title: {r!r}")
             row = [r.title, str(r.page_rank), join(r.redirects),
                    join(r.entity_types), join(r.categories),
                    join(r.linked_concepts), r.contents]

@@ -15,6 +15,7 @@ from conftest import (
     SAMPLE_NOUNS,
     SAMPLE_POST,
     SAMPLE_STOPLIST,
+    kb_index,
     make_tagged,
 )
 from kbcat.config import parse_config_text
@@ -22,7 +23,7 @@ from kbcat.corpus import SplitHint, SubsetMode, load_reuters_dir, select_categor
 from kbcat.enrich import build_e2_query, filter_e4
 from kbcat.evaluation import accumulate, label_matrix, metric_report, relative_improvement
 from kbcat.experiment import run_experiment
-from kbcat.kbindex import KbIndex, serialize_query
+from kbcat.kbindex import serialize_query
 from kbcat.learn import TrainConfig, train_binary_svm
 from kbcat.porter import porter_stem
 from kbcat.textproc import EntityTag, Gazetteer, Representation, TextResources, represent
@@ -177,7 +178,7 @@ def test_08_search_matches_exhaustive_scoring():
     rng = random.Random(20260809)
     for trial in range(200):
         records = [_random_record(rng, i) for i in range(rng.randint(1, 20))]
-        index = KbIndex(records)
+        index = kb_index(records)
         query = _random_query(rng)
         n = rng.randint(1, len(records) + 3)
         hits = index.search(query, n)

@@ -695,6 +695,13 @@ class TestMetricsTsv:
                                   report.per_category)
         assert "run\toverall\t0.500000" in text
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, separable_corpus, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(parse_config_text(_config_text(separable_corpus, out_dir=out)))
+        marked = tmp_path / "marked.tsv"
+        marked.write_text((out / "metrics.tsv").read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert parse_metrics_tsv(marked) == parse_metrics_tsv(out / "metrics.tsv")
+
 
 class TestCli:
     def test_run_and_report(self, separable_corpus, tmp_path, capsys):

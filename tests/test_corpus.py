@@ -248,6 +248,13 @@ class TestLoad20Newsgroups:
         docs = load_20newsgroups(tmp_path)
         assert {next(iter(d.labels)) for d in docs} == {"alt.a", "alt.b"}
 
+    def test_crlf_header_stripping(self, tmp_path):
+        cat = tmp_path / "c"
+        cat.mkdir()
+        (cat / "1").write_bytes(b"From: a@b.c\r\nSubject: x\r\nOrganization: o\r\n\r\n"
+                                b"Body line\r\n\r\nmore\r\n")
+        assert load_20newsgroups(tmp_path)[0].body == "Body line\r\n\r\nmore"
+
     def test_no_blank_line_keeps_whole_text(self, tmp_path):
         cat = tmp_path / "c"
         cat.mkdir()

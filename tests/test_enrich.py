@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import HEALTH_RECORD, make_tagged, retrieve
+from conftest import HEALTH_RECORD, kb_index, make_tagged, retrieve
 from kbcat.corpus import RawDocument
 from kbcat.enrich import (
     PRESETS,
@@ -16,7 +16,7 @@ from kbcat.enrich import (
     strategy_query,
 )
 from kbcat.kbindex import FieldName, KbIndex, KnowledgeRecord, Occur, serialize_query
-from kbcat.textproc import EntityTag, Representation, TextResources
+from kbcat.textproc import EntityTag, Gazetteer, Representation, TextResources
 from oracles import brute_force_search
 
 # The preprocessed newswire story whose token list drives the query
@@ -48,11 +48,11 @@ EXPECTED_E2_QUERY = (
 
 class TestEnrichE1:
     def test_empty_doc(self, kb_sample):
-        out = retrieve(make_tagged([]), KbIndex(kb_sample), Strategy.E1, 5)
+        out = retrieve(make_tagged([]), kb_index(kb_sample), Strategy.E1, 5)
         assert out == EnrichmentOutput()
 
     def test_kaiser_retrieval(self, kb_sample):
-        out = retrieve(make_tagged(["kaiser"]), KbIndex(kb_sample), Strategy.E1, 5)
+        out = retrieve(make_tagged(["kaiser"]), kb_index(kb_sample), Strategy.E1, 5)
         assert out.titles == ["Kaiser Permanente"]
         assert "Health maintenance organizations" in out.categories
         assert out.linked_concepts == []
@@ -64,7 +64,7 @@ class TestEnrichE1:
                 "drug heart", "drug drug heart", "heart", "drug trial", "other",
             ])
         ]
-        index = KbIndex(records)
+        index = kb_index(records)
         doc = make_tagged(["drug", "heart"])
         out = retrieve(doc, index, Strategy.E1, 5)
         # E1's query is the bare contents clauses; rebuild it for the oracle
@@ -135,11 +135,11 @@ class TestStrategyQuery:
 
 class TestEnrichE2:
     def test_empty_doc(self, kb_sample):
-        out = retrieve(make_tagged([]), KbIndex(kb_sample), Strategy.E2, 5)
+        out = retrieve(make_tagged([]), kb_index(kb_sample), Strategy.E2, 5)
         assert out == EnrichmentOutput()
 
     def test_linked_concepts_gathered(self):
-        index = KbIndex([HEALTH_RECORD])
+        index = kb_index([HEALTH_RECORD])
         out = retrieve(make_tagged(["insurance", "medicare"]), index, Strategy.E2, 5)
         assert out.titles == ["Health insurance in the United States"]
         assert "Medicare (United States)" in out.linked_concepts
@@ -149,11 +149,11 @@ class TestEnrichE2:
             KnowledgeRecord(title="junky", contents="drug", page_rank=2),
             KnowledgeRecord(title="solid", contents="drug", page_rank=9),
         ]
-        out = retrieve(make_tagged(["drug"]), KbIndex(records), Strategy.E2, 5)
+        out = retrieve(make_tagged(["drug"]), kb_index(records), Strategy.E2, 5)
         assert out.titles == ["solid"]
 
     def test_top_k_prefix_property(self, kb_sample):
-        index = KbIndex(kb_sample)
+        index = kb_index(kb_sample)
         doc = make_tagged(["health", "insurance", "kaiser"])
         one = retrieve(doc, index, Strategy.E2, 1)
         two = retrieve(doc, index, Strategy.E2, 2)
@@ -164,7 +164,7 @@ class TestEnrichE2:
 
 class TestEnrichE3:
     def _typed_index(self):
-        return KbIndex([
+        return kb_index([
             KnowledgeRecord(title="Plain", contents="shared words", page_rank=8),
             KnowledgeRecord(title="Org", contents="shared words", page_rank=8,
                             entity_types=["Freebase: organization"]),
@@ -270,11 +270,11 @@ def _mini_index() -> KbIndex:
             page_rank=3,
         ),
     ]
-    return KbIndex(records)
+    return kb_index(records)
 
 
 def _resources() -> TextResources:
-    return TextResources(stopwords={"the", "of", "in"}, gazetteer=None, nouns=set())
+    return TextResources(stopwords={"the", "of", "in"}, gazetteer=Gazetteer(), nouns=set())
 
 
 class TestApplyPreset:
@@ -299,7 +299,7 @@ class TestApplyPreset:
 
     def test_empty_index_leaves_document_unchanged(self):
         doc = RawDocument(id="d", title="", body="ember quartz", labels={"alpha"})
-        enriched = apply_preset(doc, PRESETS["A4"], KbIndex([]), _resources())
+        enriched = apply_preset(doc, PRESETS["A4"], kb_index([]), _resources())
         assert enriched.injected == []
         assert enriched.tokens == ["ember", "quartz"]
 
@@ -335,7 +335,7 @@ class TestApplyPreset:
     def test_appended_terms_pass_e4_after_cleaning(self):
         # a title whose leading piece is a stop word would start lowercase
         # after cleaning; the re-check must drop it
-        index = KbIndex([KnowledgeRecord(
+        index = kb_index([KnowledgeRecord(
             title="The ember collective", contents="ember", page_rank=8,
             categories=["Topic Alpha"],
         )])

@@ -19,7 +19,6 @@ from kbcat.textproc import (
     EntityTag,
     Gazetteer,
     Representation,
-    ResourceError,
     TextResources,
     filter_nouns,
     is_noun,
@@ -117,7 +116,7 @@ class TestRemoveStopwords:
         # "Fox" keeps its place in the text after "the" is dropped, so the
         # noun rule does not see it as sentence-initial
         doc = RawDocument(id="d", title="", body="the Fox ran", labels={"c"})
-        res = TextResources(stopwords={"the"}, nouns=set())
+        res = TextResources(stopwords={"the"}, gazetteer=Gazetteer(), nouns=set())
         assert represent(doc, Representation.T1, res).tokens == ["Fox", "ran"]
         assert represent(doc, Representation.T3, res).tokens == ["Fox"]
 
@@ -304,13 +303,6 @@ class TestRepresent:
         for i, tag in zip(kept, t4.tags):
             if tag is not EntityTag.NONE:
                 assert t2.tags[i] is tag
-
-    def test_missing_resource_errors(self):
-        with pytest.raises(ResourceError):
-            represent(_sample_doc(), Representation.T1, TextResources(stopwords=None))
-        with pytest.raises(ResourceError):
-            represent(_sample_doc(), Representation.T2,
-                      TextResources(stopwords=SAMPLE_STOPLIST, gazetteer=None))
 
     def test_order_preserved_on_random_text(self):
         rng = random.Random(7)
