@@ -46,8 +46,8 @@ _MARKUP_RE = re.compile(
 _ATTR_RE = re.compile(r"([A-Za-z]+)\s*=\s*\"([^\"]*)\"")
 _ENTITY_RE = re.compile(r"&(#\d+|[A-Za-z][A-Za-z0-9]*);")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
-# the blank line that ends a post's headers, in a file of LF or of CRLF lines
-_HEADER_END_RE = re.compile(r"\n\r?\n")
+# the blank line that ends a post's headers, in a file of LF, CRLF or CR lines
+_HEADER_END_RE = re.compile(r"\n\r?\n|\r\r")
 
 _KNOWN_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 

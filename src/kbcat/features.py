@@ -4,6 +4,8 @@ A document's words are lowercased and stemmed here; its enrichment-injected
 concept terms are lowercased but kept unstemmed so multi-word concepts
 like ``Kaiser_Permanente`` survive as single features.
 
+``count_rows``, the one term-count builder, makes both the documents'
+term counts and each knowledge-base field's postings (``kbindex``).
 ``count_terms`` consumes a run's documents as an iterable, one at a time,
 into one CSR matrix of term counts in sorted-term column order; a fold's
 training and test sets are row selections of it. ``vectorize`` weights
@@ -16,7 +18,7 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,42 +47,43 @@ def document_terms(doc: TaggedDocument) -> list[str]:
     return [_stem(w.lower()) for w in doc.tokens] + [t.lower() for t in doc.injected]
 
 
-def unit_counts(n: int, longest: int) -> np.ndarray:
-    """``n`` ones of the narrowest signed integer type that holds ``longest``
-    (int8, int16, else int32), the length of the longest row they count
-    terms in. A term's count in a row cannot exceed the row's length, so
-    summing a row's ones for a term is exact in that type."""
+def count_rows(rows: Iterable[Sequence[str]]) -> tuple[sp.csr_matrix, dict[str, int]]:
+    """The rows' term counts, unsummed, read one term list at a time: a CSR
+    matrix with a one per term occurrence, rows in input order and columns
+    in first-seen term order, and the term -> column map. No per-term
+    object outlives its row: the ids are laid end to end in an int32 array,
+    which the matrix's indices view. The ones are of the narrowest signed
+    type that holds the longest row's length (int8, int16, else int32), in
+    which a row's repeats of a term sum exactly."""
+    columns: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    term_ids, ends = array("i"), array("q", [0])
+    for row in rows:
+        if row:  # extending by an empty map still costs a call per row
+            term_ids.extend(map(columns.__getitem__, row))
+        ends.append(len(term_ids))
+    columns.default_factory = None  # the term -> column map is complete
+    longest = np.diff(ends).max(initial=0)
     dtype = next((t for t in (np.int8, np.int16) if longest <= np.iinfo(t).max), np.int32)
-    return np.ones(n, dtype=dtype)
+    return sp.csr_matrix((np.ones(len(term_ids), dtype), np.frombuffer(term_ids, np.int32), ends),
+                         shape=(len(ends) - 1, len(columns))), columns
 
 
 def count_terms(docs: Iterable[TaggedDocument]) -> tuple[sp.csr_matrix, list[str]]:
     """Term counts of the documents, read one at a time (a generator's can be
     dropped once counted), a row each in input order, and the sorted terms
-    naming the columns. Each document's term ids are laid end to end in an
-    int32 array, so no per-term object outlives its document; summing the
-    repeats of a row of ones (``unit_counts``) gives the counts, which come
-    out as int32."""
-    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    term_ids, ends = array("i"), array("q", [0])
-    for doc in docs:
-        term_ids.extend(map(ids.__getitem__, document_terms(doc)))
-        ends.append(len(term_ids))
-    terms = sorted(ids)
-    column = np.empty(len(ids), dtype=np.int32)  # term id -> sorted position
-    column[[ids[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
-    tokens = column[np.frombuffer(term_ids, np.int32)]
-    del term_ids
-    ones = unit_counts(len(tokens), np.diff(ends).max(initial=0))
-    matrix = sp.csr_matrix((ones, tokens, ends), shape=(len(ends) - 1, len(ids)))
-    del tokens, ones
+    naming the columns: ``count_rows`` of their ``document_terms``, each
+    row's repeats summed and the columns relabelled to sorted-term order.
+    The counts come out as int32."""
+    matrix, columns = count_rows(document_terms(doc) for doc in docs)
+    # summing before the relabel makes it, and the copy of the ids it
+    # makes, the size of the entries, not of the tokens
     matrix.sum_duplicates()
-    # sum_duplicates keeps views of the token-sized buffers while at least
-    # half the entries remain. The matrix holds the only references to
-    # them, so copying one array at a time (the widening to int32 is the
-    # second copy) frees each buffer before the next copy is made, and the
-    # copies add nothing to peak memory
-    matrix.indices = matrix.indices.copy()
+    terms = sorted(columns)
+    sorted_column = np.empty(len(terms), dtype=np.int32)  # first-seen -> sorted
+    sorted_column[[columns[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
+    matrix.indices = sorted_column[matrix.indices]  # frees the token-sized ids
+    matrix.has_sorted_indices = False
+    matrix.sort_indices()
     matrix.data = matrix.data.astype(np.int32)
     return matrix, terms
 

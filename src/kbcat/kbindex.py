@@ -28,7 +28,8 @@ CSR arrays (Zobel & Moffat 2006): the int32 ids of the records holding a
 row's term, ascending, with their int32 term counts, plus an int32 token
 count per record; one int64 array holds every record's page rank. The
 postings are the stable transpose of the field's record x term matrix of
-ones, with each record's repeats of a term summed into its count.
+ones from ``features.count_rows``, which counts the documents' terms too,
+with each record's repeats of a term summed into its count.
 
 Queries are evaluated term at a time (Turtle & Flood 1995): the candidates
 are the records in the postings of the positive term clauses, and each
@@ -45,21 +46,18 @@ kept, so ``score`` on its records one by one is a lookup.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .features import unit_counts
+from .features import count_rows
 from .textproc import DELIMITER_CHARS, lowercase_words
 
 
@@ -295,36 +293,25 @@ class KbIndex:
 
     def _field(self, fname: FieldName) -> _Field:
         """The field's postings and token counts, built the first time a
-        query touches the field and stored whole.
-
-        One pass lays each record's term ids end to end in record order:
-        the rows of a record x term matrix of ones, whose stable transpose
-        (scipy's counting sort) with each record's repeats summed is the
-        postings. The ones are of the narrowest integer type that holds the
-        longest record's token count (``unit_counts``), which is exact: a
-        term's count in a record cannot exceed the record's length. With
-        int8 ones the build peaks at about 10 B a token plus the term ->
-        row map: the term ids, the ones and the transpose. ids are copied
-        to exact size and the transpose's token-sized index buffer freed
-        before the counts are widened to int32."""
+        query touches the field and stored whole: the record x term matrix
+        of ones that ``count_rows`` reads from the field's cells, whose
+        term -> column map is the term -> row map, transposed by scipy's
+        stable counting sort, which leaves each term's ids ascending, and
+        only then summed (summing first would sort every record's terms).
+        With int8 ones the build peaks at about 10 B a token plus the map:
+        the term ids, the ones and the transpose. ids are copied to exact
+        size, freeing the transpose's index buffer, before the counts are
+        widened to int32."""
         built = self._fields.get(fname)
         if built is None:
             column = getattr(self._kb, _COLUMNS[fname])
             terms_of = _entity_type_terms if fname is FieldName.TYPES else lowercase_words
-            # a new term gets the next row
-            rows: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-            term_ids = array("i")
-            ends = array("q", [0])  # where each record's term ids end
-            for cell in map(column.__getitem__, self._sorted().dump_rows):
-                if cell:
-                    term_ids.extend(map(rows.__getitem__, terms_of(cell)))
-                ends.append(len(term_ids))
-            rows.default_factory = None  # the term -> row map is complete
-            lengths = np.diff(ends).astype(np.int32)
-            ones = unit_counts(len(term_ids), lengths.max(initial=0))
-            postings = sp.csr_matrix((ones, np.frombuffer(term_ids, dtype=np.int32), ends),
-                                     shape=(len(lengths), len(rows))).tocsc()
-            del term_ids, ones
+            cells = map(column.__getitem__, self._sorted().dump_rows)
+            # an empty cell, most records' in a sparse field, is not tokenized
+            ones, rows = count_rows(terms_of(cell) if cell else () for cell in cells)
+            lengths = np.diff(ones.indptr).astype(np.int32, copy=False)
+            postings = ones.tocsc()
+            del ones  # frees the term ids and the ones
             postings.sum_duplicates()
             starts, ids, tfs = postings.indptr, postings.indices.copy(), postings.data
             del postings  # frees the index buffer; tfs may still view its data
@@ -507,14 +494,18 @@ def load_kb_dump(path: str | Path) -> KbColumns:
     """Read the TAB-separated dump: title, page_rank, redirects,
     entity_types, categories, linked_concepts, contents. List fields use
     '|' between items; an empty field is an empty string. The cells are
-    kept as they are, in dump order; a UTF-8 byte-order mark is skipped."""
+    kept as they are, in dump order; a UTF-8 byte-order mark is skipped.
+    Lines end at LF or CRLF; a CR anywhere else is an error, so a line
+    number in an error is the file's own."""
     kb = KbColumns([], array("q"), [], [], [], [], [])
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n").removesuffix("\r")
             if not line:
                 continue
+            if "\r" in line:
+                raise ValueError(f"{path}:{lineno}: carriage return inside a line")
             fields = line.split("\t")
             if len(fields) != 7:
                 raise ValueError(

@@ -171,7 +171,7 @@ def write_corpus_tree(docs: list[RawDocument], root: Path) -> None:
 def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
     """Write the TAB-separated dump ``kbindex.load_kb_dump`` reads. A record
     the dump would not give back unchanged is refused: an empty title, an
-    empty list item or one holding '|', or a TAB or newline in a field."""
+    empty list item or one holding '|', or a TAB, newline or CR in a field."""
     def join(items: list[str]) -> str:
         for item in items:
             if not item or "|" in item:
@@ -186,8 +186,8 @@ def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
                    join(r.entity_types), join(r.categories),
                    join(r.linked_concepts), r.contents]
             for cell in row:
-                if "\t" in cell or "\n" in cell:
-                    raise ValueError(f"TAB/newline not allowed in field: {cell!r}")
+                if "\t" in cell or "\n" in cell or "\r" in cell:
+                    raise ValueError(f"TAB/newline/CR not allowed in field: {cell!r}")
             fh.write("\t".join(row) + "\n")
 
 

@@ -255,6 +255,13 @@ class TestLoad20Newsgroups:
                                 b"Body line\r\n\r\nmore\r\n")
         assert load_20newsgroups(tmp_path)[0].body == "Body line\r\n\r\nmore"
 
+    def test_cr_header_stripping(self, tmp_path):
+        # old Mac line endings: a lone CR ends each line
+        cat = tmp_path / "c"
+        cat.mkdir()
+        (cat / "1").write_bytes(b"Subject: x\rFrom: y\r\rbody\r\rmore\r")
+        assert load_20newsgroups(tmp_path)[0].body == "body\r\rmore"
+
     def test_no_blank_line_keeps_whole_text(self, tmp_path):
         cat = tmp_path / "c"
         cat.mkdir()

@@ -908,6 +908,27 @@ class TestDumpIO:
         assert [h.record_title for h in index.search(parse_query("wikiTitle:alpha"), 5)] \
             == ["Alpha"]
 
+    def test_carriage_return_in_a_cell_names_the_files_line(self, tmp_path):
+        # a CR read as a line end would split the record and name line 3
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"a\t1\t\t\t\t\tx\nb\t2\t\t\t\t\tone\rtwo\n")
+        message = f"{path}:2: carriage return inside a line"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_kb_dump(path)
+
+    def test_crlf_dump_loads_like_its_lf_twin(self, tmp_path):
+        text = "Alpha\t3\tA\t\tC1|C2\t\tfirst record\n\nBeta\t1\t\t\t\t\t\n"
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_kb_dump(crlf) == load_kb_dump(lf)
+        assert load_kb_dump(lf).contents == ["first record", ""]
+
+    def test_carriage_return_rejected_on_save(self, tmp_path):
+        record = KnowledgeRecord(title="t", contents="one\rtwo")
+        with pytest.raises(ValueError, match="CR"):
+            write_kb_dump([record], tmp_path / "kb.tsv")
+
     def test_pipe_rejected_on_save(self, tmp_path):
         record = KnowledgeRecord(title="t", categories=["a|b"])
         with pytest.raises(ValueError, match=r"\|"):
