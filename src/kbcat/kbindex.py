@@ -17,10 +17,11 @@ factor. Only contents and wikiTitle clauses contribute scored terms;
 clauses on the remaining fields act as match-only filters that feed the
 coordination factor.
 
-Records get ids in sorted-title order. Each field's postings are built
-the first time a query touches the field, so an index whose queries use
-only contents and types never tokenizes the titles, redirects, categories
-or linked concepts of its records. A field build tokenizes each cell of
+A record's id is its row in the dump, which the loader's title -> row map
+gives. Each field's postings are built the first time a query touches the
+field, so an index whose queries use only contents and types never
+tokenizes the titles, redirects, categories or linked concepts of its
+records. A field build tokenizes each cell of
 its column in one pass (``lowercase_words``; a '|' is a delimiter, so a
 list cell gives the terms of its items), but for ``types``, whose items
 are normalized one by one. A built field is a term -> row dict and
@@ -40,8 +41,10 @@ multiplied), so every record's score is the same sum in the same order as
 a clause-by-clause evaluation of that record alone: scores are
 bit-identical to it, and ties between records that differ only in the last
 bit break the same way. MUST and MUST_NOT clauses filter the candidates,
-which rank by score and then by title. The scores of the last query are
-kept, so ``score`` on its records one by one is a lookup.
+which rank by score and then by title, whatever the records' dump order:
+``search`` keeps the candidates scoring at least the n-th best score and
+sorts only those. The scores of the last query are kept, so ``score`` on
+its records one by one is a lookup.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from pathlib import Path
@@ -155,9 +157,11 @@ class KbColumns:
     """A KB in dump order, one list per field: the titles (unique), the
     page ranks, the '|'-joined redirects, entity types, categories and
     linked concepts, and the contents. An empty cell is an empty string,
-    and an empty item between two '|' is no item."""
+    and an empty item between two '|' is no item. ``rows`` maps each title
+    to its row, which is the record's id in the index."""
 
     titles: list[str]
+    rows: dict[str, int]
     page_ranks: array  # int64 ("q")
     redirects: list[str]
     entity_types: list[str]
@@ -189,16 +193,6 @@ _COLUMNS = {
     FieldName.CATEGORIES: "categories",
     FieldName.LINKED_CONCEPTS: "linked_concepts",
 }
-
-
-class _Order(NamedTuple):
-    """Record ids follow sorted-title order: record i has the title
-    ``titles[i]``, the page rank ``ranks[i]`` and the dump row
-    ``dump_rows[i]``."""
-
-    titles: list[str]
-    ranks: np.ndarray
-    dump_rows: list[int]
 
 
 class _Field(NamedTuple):
@@ -249,21 +243,20 @@ def _rank_matches(body: Term | RangeBody, ranks: np.ndarray) -> np.ndarray:
 
 
 class KbIndex:
-    """A KB's columns, searchable by field; record ids follow sorted-title
-    order. Each field's postings are built on first use (see ``_field``),
-    so the columns must not change after construction: per field a term ->
-    row dict, CSR postings of int32 record ids and int32 term counts, and
-    an int32 token count per record; one int64 page-rank array covers all
-    records. The columns come from a dump (``load_kb_dump``).
+    """A KB's columns, searchable by field; a record's id is its dump row,
+    and search ranks equal scores by title. Each field's postings are built
+    on first use (see ``_field``), so the columns must not change after
+    construction: per field a term -> row dict, CSR postings of int32
+    record ids and int32 term counts, and an int32 token count per record;
+    the page ranks are read as an int64 view of their column. The columns
+    come from a dump (``load_kb_dump``).
 
-    The record order with the rank array, every built field and the last
-    query's scores are each stored whole, so concurrent searches need no
-    locking: two threads may build the same arrays at once, and the second
-    stores a result equal to the first."""
+    Every built field and the last query's scores are each stored whole,
+    so concurrent searches need no locking: two threads may build the same
+    arrays at once, and the second stores a result equal to the first."""
 
     def __init__(self, kb: KbColumns) -> None:
         self._kb = kb
-        self._order: _Order | None = None
         self._fields: dict[FieldName, _Field] = {}
         self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None
 
@@ -272,24 +265,8 @@ class KbIndex:
 
     def get_record(self, title: str) -> KnowledgeRecord | None:
         """The record with this title, made from its columns, or None."""
-        i = self._record_id(title)
-        return None if i is None else self._kb.record(self._sorted().dump_rows[i])
-
-    def _record_id(self, title: str) -> int | None:
-        titles = self._sorted().titles
-        i = bisect_left(titles, title)
-        return i if i < len(titles) and titles[i] == title else None
-
-    def _sorted(self) -> _Order:
-        """The record order, built with the first field or query and
-        stored whole."""
-        order = self._order
-        if order is None:
-            titles = self._kb.titles
-            dump_rows = sorted(range(len(titles)), key=titles.__getitem__)
-            ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)[dump_rows]
-            order = self._order = _Order([titles[r] for r in dump_rows], ranks, dump_rows)
-        return order
+        row = self._kb.rows.get(title)
+        return None if row is None else self._kb.record(row)
 
     def _field(self, fname: FieldName) -> _Field:
         """The field's postings and token counts, built the first time a
@@ -306,9 +283,8 @@ class KbIndex:
         if built is None:
             column = getattr(self._kb, _COLUMNS[fname])
             terms_of = _entity_type_terms if fname is FieldName.TYPES else lowercase_words
-            cells = map(column.__getitem__, self._sorted().dump_rows)
             # an empty cell, most records' in a sparse field, is not tokenized
-            ones, rows = count_rows(terms_of(cell) if cell else () for cell in cells)
+            ones, rows = count_rows(terms_of(cell) if cell else () for cell in column)
             lengths = np.diff(ones.indptr).astype(np.int32, copy=False)
             postings = ones.tocsc()
             del ones  # frees the term ids and the ones
@@ -342,7 +318,7 @@ class KbIndex:
         last = self._last_scores
         if last is not None and last[0] == query.clauses:
             return last[1], last[2]
-        ranks = self._sorted().ranks
+        ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)  # a view
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
         rank_matched = np.zeros(len(ranks), dtype=np.int64)
         rank_candidate = np.zeros(len(ranks), dtype=bool)
@@ -384,10 +360,8 @@ class KbIndex:
         coordination factor (matched positive clauses / positive clauses)
         times the summed mass of its matching scored term clauses. A record
         that matches no positive term clause scores 0.0."""
-        i = self._record_id(title)
-        if i is None:
-            raise KeyError(title)
-        return float(self._query_scores(query)[1][i])
+        row = self._kb.rows[title]  # KeyError for an unknown title
+        return float(self._query_scores(query)[1][row])
 
     def search(self, query: FieldedQuery, n: int) -> list[SearchHit]:
         """Top-n records by score; ties broken by title.
@@ -398,7 +372,7 @@ class KbIndex:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        titles, ranks, _ = self._sorted()
+        titles, ranks = self._kb.titles, np.asarray(self._kb.page_ranks, dtype=np.int64)
         candidates, _ = self._query_scores(query)
         keep = np.ones(len(candidates), dtype=bool)
         for clause in query.clauses:
@@ -413,9 +387,13 @@ class KbIndex:
         # each hit's score is score()'s, one call per candidate scored (the
         # call bench/layertrace.py counts); the query's scores are kept
         scores = np.array([self.score(query, titles[i]) for i in ids], dtype=np.float64)
-        # ids follow title order, so equal scores rank by title
-        return [SearchHit(titles[ids[j]], float(scores[j]))
-                for j in np.lexsort((ids, -scores))[:n]]
+        if len(ids) > n:
+            # only the records scoring at least the n-th best score can rank
+            top = scores >= np.partition(scores, len(ids) - n)[len(ids) - n]
+            ids, scores = ids[top], scores[top]
+        hits = sorted(zip(scores.tolist(), map(titles.__getitem__, ids.tolist())),
+                      key=lambda hit: (-hit[0], hit[1]))
+        return [SearchHit(title, score) for score, title in hits[:n]]
 
 
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s+TO\s+(-?\d+)\s*\]$")
@@ -497,12 +475,15 @@ def load_kb_dump(path: str | Path) -> KbColumns:
     kept as they are, in dump order; a UTF-8 byte-order mark is skipped.
     Lines end at LF or CRLF; a CR anywhere else is an error, so a line
     number in an error is the file's own."""
-    kb = KbColumns([], array("q"), [], [], [], [], [])
-    first_line: dict[str, int] = {}
+    kb = KbColumns([], {}, array("q"), [], [], [], [], [])
+    # the blank lines skipped: a row's line number is one past the row plus
+    # the blank lines before it (a duplicate title's error names that line)
+    blank_lines: list[int] = []
     with open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.removesuffix("\n").removesuffix("\r")
             if not line:
+                blank_lines.append(lineno)
                 continue
             if "\r" in line:
                 raise ValueError(f"{path}:{lineno}: carriage return inside a line")
@@ -527,8 +508,12 @@ def load_kb_dump(path: str | Path) -> KbColumns:
             if page_rank > _INT64_MAX:  # ranks are int64 in the index
                 raise ValueError(
                     f"{path}:{lineno}: page rank {rank} is out of range 0..2**63-1")
-            first = first_line.setdefault(title, lineno)
-            if first != lineno:
+            row = len(kb.titles)
+            first = kb.rows.setdefault(title, row)
+            if first != row:
+                first += 1
+                for blank in blank_lines:
+                    first += blank <= first
                 raise DuplicateTitleError(
                     f"{path}:{lineno}: duplicate title {title!r} (first on line {first})")
             kb.titles.append(title)

@@ -40,7 +40,7 @@ def field_as_dicts(index: KbIndex, fname: FieldName
     """The field's postings as {term: {title: tf}} and its token counts as
     {title: length}, rebuilt from the index's arrays."""
     field = index._field(fname)
-    titles = index._sorted().titles
+    titles = index._kb.titles
     postings = {}
     for term, row in field.rows.items():
         span = slice(field.starts[row], field.starts[row + 1])
@@ -216,7 +216,6 @@ class TestNarrowCounts:
         index = kb_index([KnowledgeRecord(
             title=f"r{i:04d}", contents=" ".join(rng.choices(vocab, weights, k=rng.randint(40, 120))))
             for i in range(1000)])
-        index._sorted()
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -807,6 +806,62 @@ class TestColumns:
             index.get_record(records[0].title)
 
 
+def _tied_kb(rng: random.Random) -> list[KnowledgeRecord]:
+    """Zipf records plus 30 that differ only in their titles, so that
+    "tie"/"x" queries tie across the k = 5 and k = 20 boundaries, and three
+    that score above the tied ones."""
+    ties = [KnowledgeRecord(title=f"tie {rng.choice('abc')}{i}", contents="tie x pad",
+                            entity_types=["Freebase: person"], page_rank=7)
+            for i in range(30)]
+    tops = [KnowledgeRecord(title=f"top {i}", contents="tie x", page_rank=7)
+            for i in range(3)]
+    return _zipf_kb(rng, 200) + ties + tops
+
+
+_TIED_QUERIES = ["contents:tie", "contents:x contents:tie",
+                 "contents:tie types:freebase:person -pageRank:[1 TO 5]",
+                 "wikiTitle:tie contents:tie contents:x -pageRank:[1 TO 5]"]
+
+
+class TestDumpOrder:
+    """Record ids are dump rows, so the same records dumped in another
+    order get other ids; search must still rank ties by title."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: _zipf_kb(rng, 300),
+        _tied_kb,
+    ], ids=["zipf", "tied"])
+    def test_search_is_independent_of_dump_order(self, make):
+        rng = random.Random(20261021)
+        records = make(rng)
+        queries = [_zipf_query(rng) for _ in range(60)] + [
+            parse_query(text) for text in _TIED_QUERIES]
+        by_title = sorted(records, key=lambda r: r.title)
+        shuffled = records[:]
+        random.Random(7).shuffle(shuffled)
+        results = []
+        for order in (by_title, by_title[::-1], shuffled):
+            index = kb_index(order)
+            scores = [[index.score(query, r.title).hex() for r in by_title]
+                      for query in queries[::10]]
+            results.append((_battery(index, queries), scores,
+                            [index.get_record(r.title) for r in by_title]))
+        assert results[0] == results[1] == results[2]
+        assert results[0][2] == by_title
+
+    def test_ties_across_k_rank_by_title(self):
+        records = _tied_kb(random.Random(20261021))
+        index = kb_index(records[::-1])
+        query = parse_query("contents:x contents:tie")
+        tied = sorted(r.title for r in records if r.title.startswith("tie "))
+        for k in (5, 20):
+            hits = index.search(query, k)
+            assert [h.record_title for h in hits] == (
+                ["top 0", "top 1", "top 2"] + tied)[:k]
+            assert len({h.score for h in hits[3:]}) == 1
+            assert index.score(query, tied[k - 3]) == hits[-1].score  # left out
+
+
 class TestGetRecord:
     def test_kaiser_categories(self, kb_sample):
         index = kb_index(kb_sample)
@@ -848,6 +903,21 @@ class TestDumpIO:
         path.write_text("a\t1\t\t\t\t\tx\nb\t2\t\t\t\t\ty\n\na\t3\t\t\t\t\tz\n",
                         encoding="utf-8")
         message = f"{path}:4: duplicate title 'a' (first on line 1)"
+        with pytest.raises(DuplicateTitleError, match=f"^{re.escape(message)}$"):
+            load_kb_dump(path)
+
+    @pytest.mark.parametrize("text, first, line", [
+        # the first "b" is row 1 on line 3, after a blank line
+        ("a\t1\t\t\t\t\tx\n\nb\t2\t\t\t\t\ty\nc\t3\t\t\t\t\tz\nb\t4\t\t\t\t\tw\n", 3, 5),
+        # row 1 on line 5, after three blank lines (one of them CRLF); the
+        # repeat follows one more
+        ("\na\t1\t\t\t\t\tx\n\r\n\nb\t2\t\t\t\t\ty\n\nb\t4\t\t\t\t\tw\n", 5, 7),
+    ], ids=["one-blank", "blanks-around"])
+    def test_duplicate_title_names_the_first_line_not_its_row(self, tmp_path, text,
+                                                              first, line):
+        path = tmp_path / "kb.tsv"
+        path.write_bytes(text.encode())
+        message = f"{path}:{line}: duplicate title 'b' (first on line {first})"
         with pytest.raises(DuplicateTitleError, match=f"^{re.escape(message)}$"):
             load_kb_dump(path)
 
