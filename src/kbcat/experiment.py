@@ -220,10 +220,12 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
 
     counts = stage("prepare", lambda: prepare_documents(
         _handed_over(admitted), cfg, index, resources))
+    counters: Counter = Counter()
+    if index is not None:
+        counters.update({f"kbindex.{name}": n for name, n in index.counts.items()})
     # nothing after enrichment reads the KB, so its columns and postings do
     # not stay resident while the folds train
     del index
-    counters: Counter = Counter()
 
     def evaluate():
         folds = (cv_folds(admitted, cfg.cv_folds, cfg.seed) if eval_mode == "cv"

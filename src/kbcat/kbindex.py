@@ -35,20 +35,21 @@ with each record's repeats of a term summed into its count.
 Queries are evaluated term at a time (Turtle & Flood 1995): the candidates
 are the records in the postings of the positive term clauses, and each
 positive clause adds its score mass and one coordination count to every
-record it matches. The clauses are walked in query order, repeated ones
-included (a repeat reuses the clause's postings but is added again, never
-multiplied), so every record's score is the same sum in the same order as
-a clause-by-clause evaluation of that record alone: scores are
-bit-identical to it, and ties between records that differ only in the last
-bit break the same way. MUST and MUST_NOT clauses filter the candidates,
-which rank by score and then by title, whatever the records' dump order:
-``search`` keeps the candidates scoring at least the n-th best score and
-sorts only those. The scores of the last query are kept, so ``score`` on
-its records one by one is a lookup.
+record it matches. The clauses are walked in query order, repeats included
+(added again, never multiplied), so every record's score is the same sum in
+the same order as a clause-by-clause evaluation of that record alone:
+scores are bit-identical to it, and ties between records that differ only
+in the last bit break the same way. A query costs a dict lookup per clause,
+a gather of the postings of each run of consecutive clauses on one field, a
+``bincount`` over the KB and a ``score`` call per candidate (a lookup in the
+last query's kept scores, for the bench's probe). MUST and MUST_NOT clauses
+filter the candidates, which rank by score, then title, whatever the dump
+order: ``search`` sorts only those scoring at least the n-th best score.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from array import array
@@ -208,17 +209,7 @@ class _Field(NamedTuple):
     lengths: np.ndarray
 
 
-class _Postings(NamedTuple):
-    """What a term clause adds to the records it matches (see
-    ``KbIndex._postings``)."""
-
-    ids: np.ndarray
-    tfs: np.ndarray
-    lengths: np.ndarray
-    idf: float
-
-
-_NO_POSTINGS = _Postings(*[np.zeros(0, dtype=np.int32)] * 3, 0.0)
+_EMPTY = np.zeros(0, dtype=np.int32)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -230,11 +221,11 @@ def _rank_matches(body: Term | RangeBody, ranks: np.ndarray) -> np.ndarray:
     else:
         term = normalize_term(body.text)
         # isdecimal, not int()'s own check: int() accepts "1_0" as 10; past
-        # 19 significant digits a term is beyond int64 (and int() refuses
-        # strings of over 4,300 digits)
+        # 19 significant digits a term is beyond int64, and only those are
+        # read, since int() refuses strings of over 4,300 digits
         if not term.isdecimal() or len(term.lstrip("0")) > 19:
             return np.zeros(len(ranks), dtype=bool)
-        lo = hi = int(term)
+        lo = hi = int(term.lstrip("0") or "0")
     # the bounds are clipped to int64 as Python ints, so a bound past int64
     # neither overflows nor rounds on any numpy version
     if lo > hi or lo > _INT64_MAX or hi < _INT64_MIN:
@@ -253,12 +244,15 @@ class KbIndex:
 
     Every built field and the last query's scores are each stored whole,
     so concurrent searches need no locking: two threads may build the same
-    arrays at once, and the second stores a result equal to the first."""
+    arrays at once, and the second stores a result equal to the first.
+    ``counts`` holds the searches, the candidates they scored and their
+    hits, exact for one thread, as ``prepare_documents`` searches."""
 
     def __init__(self, kb: KbColumns) -> None:
         self._kb = kb
         self._fields: dict[FieldName, _Field] = {}
         self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None
+        self.counts = {"search_calls": 0, "candidates_scored": 0, "hits": 0}
 
     def __len__(self) -> int:
         return len(self._kb)
@@ -295,63 +289,62 @@ class KbIndex:
                 rows, starts, ids, tfs.astype(np.int32), lengths)
         return built
 
-    def _postings(self, clause: QueryClause) -> _Postings:
-        """The postings of a field term clause: the ids of the records it
-        matches, with each one's tf and field token count, and the term's
-        idf = 1 + ln(N / (df + 1)), or 0.0 on a match-only field, whose
-        clauses add no score mass."""
+    def _postings(self, clause: QueryClause) -> np.ndarray:
+        """The ascending ids of the records a field term clause matches."""
         field = self._field(clause.field)
         row = field.rows.get(normalize_term(clause.body.text))
-        if row is None:
-            return _NO_POSTINGS
-        span = slice(field.starts[row], field.starts[row + 1])
-        ids = field.ids[span]
-        # math.log, not np.log, which is not correctly rounded everywhere
-        idf = (1.0 + math.log(len(self._kb) / (len(ids) + 1))
-               if clause.field in SCORED_FIELDS else 0.0)
-        return _Postings(ids, field.tfs[span], field.lengths[ids], idf)
+        return field.ids[field.starts[row]:field.starts[row + 1]] if row is not None else _EMPTY
 
     def _query_scores(self, query: FieldedQuery) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the records matching a positive term clause, and every
-        record's score (0.0 off those ids), evaluated term at a time (see
-        the module docstring) and kept for the last query."""
+        record's score (0.0 off those ids), evaluated term at a time (a dict
+        lookup per clause, one postings gather per field run, one bincount
+        over the KB) and kept, so ``search``'s ``score`` per candidate is a lookup."""
         last = self._last_scores
         if last is not None and last[0] == query.clauses:
             return last[1], last[2]
-        ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)  # a view
+        n = len(self._kb)
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
-        rank_matched = np.zeros(len(ranks), dtype=np.int64)
-        rank_candidate = np.zeros(len(ranks), dtype=bool)
-        postings: dict[tuple[FieldName, Term], _Postings] = {}
-        walk = [_NO_POSTINGS]  # never empty, for np.concatenate
-        for clause in positive:
-            if isinstance(clause.body, RangeBody) or clause.field is FieldName.PAGE_RANK:
-                hit = _rank_matches(clause.body, ranks)
-                rank_matched += hit
-                if isinstance(clause.body, Term):
-                    rank_candidate |= hit
-                continue
-            key = (clause.field, clause.body)
-            if key not in postings:
-                postings[key] = self._postings(clause)
-            walk.append(postings[key])
-        # every positive term clause's postings in query order, repeats
-        # included, with the score mass sqrt(tf) * idf^2 * fieldNorm of each
-        # and fieldNorm = 1 / sqrt(field token count)
-        ids = np.concatenate([p.ids for p in walk])
-        idf = np.repeat([p.idf for p in walk], [len(p.ids) for p in walk])
-        mass = (np.sqrt(np.concatenate([p.tfs for p in walk])) * idf * idf
-                * (1.0 / np.sqrt(np.concatenate([p.lengths for p in walk]))))
+        terms, ranked = [], []
+        for c in positive:
+            is_rank = isinstance(c.body, RangeBody) or c.field is FieldName.PAGE_RANK
+            (ranked if is_rank else terms).append(c)
+        # per field run, each posting's id, tf, field token count and clause
+        # idf = 1 + ln(N / (df + 1)) (0.0 on a match-only field), in query order
+        walk = [(_EMPTY, _EMPTY, _EMPTY, np.zeros(0))]  # never empty, for np.concatenate
+        for fname, run in itertools.groupby(terms, key=lambda c: c.field):
+            field = self._field(fname)
+            rows = [field.rows.get(normalize_term(c.body.text)) for c in run]
+            rows = np.array([row for row in rows if row is not None], dtype=np.intp)
+            begin = field.starts[rows]
+            counts = field.starts[rows + 1] - begin
+            # every span's offsets, begin + 0, 1, ..., count - 1, end to end
+            spans = np.repeat(begin - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            ids = field.ids[spans]
+            # math.log, not np.log, which is not correctly rounded everywhere
+            idf = ([1.0 + math.log(n / (df + 1)) for df in counts.tolist()]
+                   if fname in SCORED_FIELDS else [0.0] * len(rows))
+            walk.append((ids, field.tfs[spans], field.lengths[ids], np.repeat(idf, counts)))
+        ids, tfs, lengths, idf = (np.concatenate(parts) for parts in zip(*walk))
+        # the score mass sqrt(tf) * idf^2 * fieldNorm of each posting, with
+        # fieldNorm = 1 / sqrt(field token count)
+        mass = np.sqrt(tfs) * idf * idf * (1.0 / np.sqrt(lengths))
         # bincount adds the weights in input order, so each record's total is
         # its clause masses summed in clause order, as a clause-by-clause
         # evaluation of that record adds them
-        totals = np.bincount(ids, weights=mass, minlength=len(ranks))
-        term_matched = np.bincount(ids, minlength=len(ranks))
-        candidates = np.flatnonzero((term_matched > 0) | rank_candidate)
-        scores = np.zeros(len(ranks))
-        if len(candidates):
-            matched = term_matched[candidates] + rank_matched[candidates]
-            scores[candidates] = (matched / len(positive)) * totals[candidates]
+        totals = np.bincount(ids, weights=mass, minlength=n)
+        matched = np.bincount(ids, minlength=n)
+        candidate = matched > 0
+        if ranked:
+            ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)  # a view
+            for clause in ranked:
+                hit = _rank_matches(clause.body, ranks)
+                matched += hit
+                if isinstance(clause.body, Term):
+                    candidate |= hit
+        candidates = np.flatnonzero(candidate)
+        scores = np.zeros(n)
+        scores[candidates] = (matched[candidates] / len(positive)) * totals[candidates]
         self._last_scores = (list(query.clauses), candidates, scores)
         return candidates, scores
 
@@ -368,8 +361,9 @@ class KbIndex:
 
         Candidates are records matching at least one SHOULD or MUST term
         clause; records violating a MUST clause or matching a MUST_NOT
-        clause are excluded.
-        """
+        clause are excluded. A search costs a dict lookup per clause, one
+        postings gather per field run, one bincount over the KB, and one
+        ``score`` call per candidate, kept for the bench's probe."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         titles, ranks = self._kb.titles, np.asarray(self._kb.page_ranks, dtype=np.int64)
@@ -381,19 +375,22 @@ class KbIndex:
             if isinstance(clause.body, RangeBody) or clause.field is FieldName.PAGE_RANK:
                 hit = _rank_matches(clause.body, ranks[candidates])
             else:
-                hit = np.isin(candidates, self._postings(clause).ids, assume_unique=True)
+                hit = np.isin(candidates, self._postings(clause), assume_unique=True)
             keep &= hit if clause.occur is Occur.MUST else ~hit
         ids = candidates[keep]
         # each hit's score is score()'s, one call per candidate scored (the
         # call bench/layertrace.py counts); the query's scores are kept
-        scores = np.array([self.score(query, titles[i]) for i in ids], dtype=np.float64)
+        scores = np.array([self.score(query, titles[i]) for i in ids.tolist()])
+        self.counts["search_calls"] += 1
+        self.counts["candidates_scored"] += len(ids)
         if len(ids) > n:
             # only the records scoring at least the n-th best score can rank
             top = scores >= np.partition(scores, len(ids) - n)[len(ids) - n]
             ids, scores = ids[top], scores[top]
         hits = sorted(zip(scores.tolist(), map(titles.__getitem__, ids.tolist())),
-                      key=lambda hit: (-hit[0], hit[1]))
-        return [SearchHit(title, score) for score, title in hits[:n]]
+                      key=lambda hit: (-hit[0], hit[1]))[:n]
+        self.counts["hits"] += len(hits)
+        return [SearchHit(title, score) for score, title in hits]
 
 
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s+TO\s+(-?\d+)\s*\]$")
@@ -497,14 +494,17 @@ def load_kb_dump(path: str | Path) -> KbColumns:
                 raise ValueError(f"{path}:{lineno}: empty title")
             # decimal digits after at most one '-': int() also reads "1_0",
             # "+5" and " 5"
-            if not rank.removeprefix("-").isdecimal():
+            digits = rank.removeprefix("-")
+            if not digits.isdecimal():
                 raise ValueError(f"{path}:{lineno}: bad page rank {rank!r}")
             try:
-                page_rank = int(rank)
-            except ValueError:  # int() refuses strings of over 4,300 digits
-                page_rank = _INT64_MAX + 1
-            if page_rank < 0:
-                raise ValueError(f"{path}:{lineno}: negative page rank {page_rank}")
+                page_rank = int(digits)
+            except ValueError:  # over 4,300 digits: read those after the
+                # leading zeros, past 19 of which a rank is beyond int64
+                significant = digits.lstrip("0")
+                page_rank = int(significant or "0") if len(significant) <= 19 else _INT64_MAX + 1
+            if page_rank and digits != rank:
+                raise ValueError(f"{path}:{lineno}: negative page rank {rank}")
             if page_rank > _INT64_MAX:  # ranks are int64 in the index
                 raise ValueError(
                     f"{path}:{lineno}: page rank {rank} is out of range 0..2**63-1")

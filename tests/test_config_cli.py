@@ -372,6 +372,39 @@ class TestRunExperiment:
             _config_text(separable_corpus, preset="A4", kb_dump=kb)))
         assert len(refs) == 1 and alive_at_training == [0] * 4
 
+    def test_search_counters_equal_a_recount(self, tmp_path, monkeypatch):
+        # the manifest's count.kbindex.* lines against searches, score()
+        # calls and hits counted by wrappers around KbIndex's methods
+        from kbcat.kbindex import KbIndex
+
+        recount = {"search_calls": 0, "candidates_scored": 0, "hits": 0}
+
+        def searching(self, query, n):
+            hits = search(self, query, n)
+            recount["search_calls"] += 1
+            recount["hits"] += len(hits)
+            return hits
+
+        def scoring(self, query, title):
+            recount["candidates_scored"] += 1
+            return score(self, query, title)
+
+        search, score = KbIndex.search, KbIndex.score
+        monkeypatch.setattr(KbIndex, "search", searching)
+        monkeypatch.setattr(KbIndex, "score", scoring)
+        synth.write_corpus_tree(synth.build_docs(), tmp_path / "corpus")
+        kb = tmp_path / "kb.tsv"
+        synth.write_kb_dump(synth.build_kb(), kb)
+        cfg = parse_config_text(_config_text(
+            tmp_path / "corpus", preset="A4", kb_dump=kb, out_dir=tmp_path / "run"))
+        manifest = run_experiment(cfg).manifest
+        expected = {f"count.kbindex.{name}": str(n) for name, n in recount.items()}
+        assert {k: v for k, v in manifest.items() if k.startswith("count.kbindex.")} == expected
+        assert recount["candidates_scored"] >= recount["hits"] > 0
+        assert recount["search_calls"] == len(synth.build_docs())
+        lines = (tmp_path / "run" / "manifest.txt").read_text(encoding="utf-8")
+        assert "".join(f"{k} = {v}\n" for k, v in expected.items()) in lines
+
     def test_reports_byte_identical_across_runs(self, separable_corpus, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

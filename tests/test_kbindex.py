@@ -23,6 +23,7 @@ from kbcat.kbindex import (
     QueryClause,
     QuerySyntaxError,
     RangeBody,
+    SearchHit,
     Term,
     load_kb_dump,
     parse_query,
@@ -426,6 +427,18 @@ class TestSearch:
         hits = index.search(parse_query("contents:x -pageRank:" + "1" * 5000), 5)
         assert [h.record_title for h in hits] == ["r"]
 
+    def test_pagerank_term_zero_padded_past_thousands_of_digits_matches(self):
+        # only the digits after the leading zeros are read, so the term is
+        # rank 1, not a string too long for int()
+        index = kb_index([KnowledgeRecord(title="r", contents="x", page_rank=1),
+                          KnowledgeRecord(title="s", contents="x y", page_rank=2)])
+        one = "pageRank:" + "0" * 5000 + "1"
+        assert index.search(parse_query(one), 5) == [SearchHit("r", 0.0)]
+        hits = index.search(parse_query("contents:x -" + one), 5)
+        assert [h.record_title for h in hits] == ["s"]
+        hits = index.search(parse_query("contents:x +" + one), 5)
+        assert [h.record_title for h in hits] == ["r"]
+
     def test_three_record_ranking_matches_brute_force(self):
         records = [
             KnowledgeRecord(title="r1", contents="drug heart drug"),
@@ -772,6 +785,53 @@ def _battery(index: KbIndex, queries: list[FieldedQuery]) -> list[list[tuple[str
             for query in queries for k in (1, 5, 20)]
 
 
+def _interleaved_query(rng: random.Random) -> FieldedQuery:
+    """Term clauses on contents, wikiTitle, types and categories in random
+    order, so runs of one field's clauses alternate, mostly SHOULD with some
+    MUST and MUST_NOT: Zipf words, which repeat, words no record holds,
+    repeats of earlier clauses, and pageRank terms between them."""
+    fields = [FieldName.CONTENTS, FieldName.WIKI_TITLE, FieldName.TYPES,
+              FieldName.CATEGORIES]
+    clauses: list[QueryClause] = []
+    for _ in range(rng.randint(1, 40)):
+        occur = rng.choices(list(Occur), weights=[16, 1, 1])[0]
+        roll = rng.random()
+        if clauses and roll < 0.1:
+            clauses.append(rng.choice(clauses))
+        elif roll < 0.2:
+            clauses.append(QueryClause(FieldName.PAGE_RANK, occur,
+                                       Term(str(rng.randint(0, 12)))))
+        else:
+            field = rng.choice(fields)
+            if roll < 0.3:
+                term = f"absent{rng.randint(0, 3)}"
+            elif field is FieldName.TYPES:
+                term = rng.choice(_ZIPF_KINDS)
+            else:
+                term = _zipf_words(rng, 1)[0]
+            clauses.append(QueryClause(field, occur, Term(term)))
+    return FieldedQuery(clauses)
+
+
+# sha256 of the (title, score.hex()) hit lists of _interleaved_query's 200
+# queries at k = 1, 5 and 20 against a 1,000-record _zipf_kb. It was taken
+# at commit 3142b78, whose search gathered each term clause's postings on
+# its own, by printing this test's digest there
+INTERLEAVED_GOLDEN_SHA256 = "04e3409bb8a3043d318541fa6c96b648ca186c6a9dc2db5a702c23f39b89a1ad"
+
+
+class TestClauseOrderGoldenSearch:
+    def test_interleaved_fields_hits_and_scores_bit_exact(self):
+        rng = random.Random(20261021)
+        index = kb_index(_zipf_kb(rng, 1000))
+        queries = [_interleaved_query(rng) for _ in range(200)]
+        assert sum(len({c.field for c in q.clauses}) > 2 for q in queries) > 100
+        results = _battery(index, queries)
+        assert sum(map(len, results)) > 2000
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == INTERLEAVED_GOLDEN_SHA256
+
+
 class TestColumns:
     @pytest.mark.parametrize("make", [
         lambda rng: _zipf_kb(rng, 300),
@@ -964,6 +1024,21 @@ class TestDumpIO:
         kb = load_kb_dump(path)
         assert list(kb.page_ranks) == [2**63 - 1]
         assert KbIndex(kb).get_record("t").page_rank == 2**63 - 1
+
+    @pytest.mark.parametrize("rank, expected", [
+        ("0" * 5000 + "5", 5),
+        ("0" * 5000 + "9223372036854775807", 2**63 - 1),
+        ("-" + "0" * 5000, 0),
+    ], ids=["5", "int64-max", "minus-zero"])
+    def test_rank_zero_padded_past_thousands_of_digits_loads(self, tmp_path, rank,
+                                                             expected):
+        # int() refuses strings of over 4,300 digits; the loader reads only
+        # the digits after the leading zeros
+        path = tmp_path / "kb.tsv"
+        path.write_text(f"t\t{rank}\t\t\t\t\tc\n", encoding="utf-8")
+        kb = load_kb_dump(path)
+        assert list(kb.page_ranks) == [expected]
+        assert KbIndex(kb).get_record("t").page_rank == expected
 
     def test_byte_order_mark_is_not_part_of_the_first_title(self, tmp_path):
         text = "Alpha\t3\t\t\t\t\tfirst record\nBeta\t1\t\t\t\t\tsecond\n"
