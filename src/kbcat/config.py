@@ -1,7 +1,8 @@
 """Experiment configuration: flat ``key = value`` files with ``#`` comments.
 
 Paths are resolved relative to the config file's directory and must exist
-at validation time. Unknown keys are an error so typos fail fast.
+at validation time; an unset stop list, gazetteer or noun lexicon is the
+package's bundled file. Unknown keys are an error so typos fail fast.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .enrich import PRESETS, Preset, Strategy
-from .textproc import (
-    Representation,
-    default_gazetteer_path,
-    default_nouns_path,
-    stopwords_path,
-)
+from .textproc import Representation
 
 DATASETS = ("reuters10", "reuters90", "news20", "custom")
 PRESET_NAMES = (*PRESETS, "custom")
@@ -53,7 +49,6 @@ class ExperimentConfig:
     cv_folds: int = 4
     label_mode: str = ""  # "multi" or "single"; dataset default when empty
     save_models: bool = False
-    baseline_metrics: str = ""
 
     def resolved_eval_mode(self) -> str:
         if self.eval_mode:
@@ -88,8 +83,10 @@ def _parse_strategies(text: str) -> frozenset[Strategy]:
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-_PATH_KEYS = {"corpus_dir", "kb_dump", "stoplist", "gazetteer", "noun_lexicon",
-              "baseline_metrics"}
+_PATH_KEYS = {"corpus_dir", "kb_dump", "stoplist", "gazetteer", "noun_lexicon"}
+# the file in the package's data folder that an unset resource key names
+_BUNDLED = {"stoplist": "stopwords_smart.txt", "gazetteer": "gazetteer_default.tsv",
+            "noun_lexicon": "nouns_default.txt"}
 
 
 def _coerce(key: str, value: str) -> str | int | float | bool:
@@ -188,12 +185,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         value = getattr(cfg, key)
         if value:
             updates[key] = resolve(key, value)
-    if not cfg.stoplist:
-        updates["stoplist"] = str(stopwords_path())
-    if not cfg.gazetteer:
-        updates["gazetteer"] = str(default_gazetteer_path())
-    if not cfg.noun_lexicon:
-        updates["noun_lexicon"] = str(default_nouns_path())
+        elif key in _BUNDLED:
+            updates[key] = str(Path(__file__).parent / "data" / _BUNDLED[key])
     if cfg.out_dir:
         path = Path(cfg.out_dir)
         updates["out_dir"] = str(path if path.is_absolute() else base / path)

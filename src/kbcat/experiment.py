@@ -6,8 +6,7 @@ and build the documents x categories label matrix once -> per fold:
 vectorize -> train -> predict -> evaluate. Cross-validation and the fixed
 split run the same fold loop; the split is one fold. The baseline preset
 skips enrichment entirely. Every run emits a manifest and a metrics
-TSV into the run directory, plus an improvement TSV when a baseline metrics
-file is supplied and model dumps when requested.
+TSV into the run directory, plus model dumps when requested.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig, name: str | None = None) -> Experiment
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         stage("report", lambda: _write_artifacts(
-            out_dir, name, cfg, manifest, cv, evaluated, rows))
+            out_dir, cfg, manifest, cv, evaluated, rows))
 
     return ExperimentResult(
         name=name, micro_f=micro, macro_f=macro, cv=cv, manifest=manifest,
@@ -417,7 +416,6 @@ def improvement_table_from_files(
 
 def _write_artifacts(
     out_dir: Path,
-    name: str,
     cfg: ExperimentConfig,
     manifest: dict[str, str],
     cv: CvResult | None,
@@ -429,11 +427,6 @@ def _write_artifacts(
     (out_dir / "metrics.tsv").write_text(
         format_metrics_tsv(rows, evaluated.pooled.per_category), encoding="utf-8"
     )
-    if cfg.baseline_metrics:
-        table = improvement_table_from_files(
-            Path(cfg.baseline_metrics), [(name, out_dir / "metrics.tsv")]
-        )
-        (out_dir / "improvement.tsv").write_text(table, encoding="utf-8")
     if cfg.save_models:
         for i, models in enumerate(evaluated.fold_models):
             file_name = "models.tsv" if cv is None else f"models_fold{i}.tsv"

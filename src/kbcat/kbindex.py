@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import unicodedata
 from array import array
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -213,19 +214,32 @@ _EMPTY = np.zeros(0, dtype=np.int32)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _decimal_rank(digits: str) -> int | None:
+    """int(digits) when str.isdecimal() accepts ``digits`` and its value
+    fits int64, else None. isdecimal, not int()'s own check: int() also
+    reads "1_0", "+5" and " 5". Leading zeros of any script are skipped
+    before a long string is read, since int() refuses over 4,300 digits."""
+    if not digits.isdecimal():
+        return None
+    if len(digits) > 19:
+        first = next((i for i, c in enumerate(digits) if unicodedata.decimal(c)),
+                     len(digits))
+        if len(digits) - first > 19:  # past 19 significant digits
+            return None
+        digits = digits[first:] or "0"
+    value = int(digits)
+    return value if value <= _INT64_MAX else None
+
+
 def _rank_matches(body: Term | RangeBody, ranks: np.ndarray) -> np.ndarray:
     """Which of the page ranks a range, or a ``pageRank:<digits>`` term,
     matches."""
     if isinstance(body, RangeBody):
         lo, hi = body.lo, body.hi
     else:
-        term = normalize_term(body.text)
-        # isdecimal, not int()'s own check: int() accepts "1_0" as 10; past
-        # 19 significant digits a term is beyond int64, and only those are
-        # read, since int() refuses strings of over 4,300 digits
-        if not term.isdecimal() or len(term.lstrip("0")) > 19:
+        lo = hi = _decimal_rank(normalize_term(body.text))
+        if lo is None:
             return np.zeros(len(ranks), dtype=bool)
-        lo = hi = int(term.lstrip("0") or "0")
     # the bounds are clipped to int64 as Python ints, so a bound past int64
     # neither overflows nor rounds on any numpy version
     if lo > hi or lo > _INT64_MAX or hi < _INT64_MIN:
@@ -492,20 +506,16 @@ def load_kb_dump(path: str | Path) -> KbColumns:
             title, rank, redirects, types, cats, linked, contents = fields
             if not title:
                 raise ValueError(f"{path}:{lineno}: empty title")
-            # decimal digits after at most one '-': int() also reads "1_0",
-            # "+5" and " 5"
+            # decimal digits after at most one '-'; under 19 of them a rank
+            # fits int64, and int() alone reads it without a call per row
             digits = rank.removeprefix("-")
-            if not digits.isdecimal():
+            page_rank = (int(digits) if len(digits) < 19 and digits.isdecimal()
+                         else _decimal_rank(digits))
+            if page_rank is None and not digits.isdecimal():
                 raise ValueError(f"{path}:{lineno}: bad page rank {rank!r}")
-            try:
-                page_rank = int(digits)
-            except ValueError:  # over 4,300 digits: read those after the
-                # leading zeros, past 19 of which a rank is beyond int64
-                significant = digits.lstrip("0")
-                page_rank = int(significant or "0") if len(significant) <= 19 else _INT64_MAX + 1
-            if page_rank and digits != rank:
+            if page_rank != 0 and digits != rank:
                 raise ValueError(f"{path}:{lineno}: negative page rank {rank}")
-            if page_rank > _INT64_MAX:  # ranks are int64 in the index
+            if page_rank is None:  # ranks are int64 in the index
                 raise ValueError(
                     f"{path}:{lineno}: page rank {rank} is out of range 0..2**63-1")
             row = len(kb.titles)

@@ -207,14 +207,3 @@ def load_word_list(path: str | Path) -> set[str]:
                 words.add(word)
     return words
 
-
-def stopwords_path() -> Path:
-    return Path(__file__).parent / "data" / "stopwords_smart.txt"
-
-
-def default_gazetteer_path() -> Path:
-    return Path(__file__).parent / "data" / "gazetteer_default.tsv"
-
-
-def default_nouns_path() -> Path:
-    return Path(__file__).parent / "data" / "nouns_default.txt"

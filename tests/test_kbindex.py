@@ -439,6 +439,17 @@ class TestSearch:
         hits = index.search(parse_query("contents:x +" + one), 5)
         assert [h.record_title for h in hits] == ["r"]
 
+    @pytest.mark.parametrize("zeros", [5000, 10], ids=["5000-zeros", "10-zeros"])
+    def test_pagerank_term_zero_padded_in_any_script_matches(self, zeros):
+        # U+0660 and U+0665 are ARABIC-INDIC DIGIT ZERO and FIVE: leading
+        # zeros of any script are skipped, however many there are
+        index = kb_index([KnowledgeRecord(title="r", contents="x", page_rank=5),
+                          KnowledgeRecord(title="s", contents="x y", page_rank=2)])
+        five = "pageRank:" + "\u0660" * zeros + "\u0665"
+        assert index.search(parse_query(five), 5) == [SearchHit("r", 0.0)]
+        hits = index.search(parse_query("contents:x -" + five), 5)
+        assert [h.record_title for h in hits] == ["s"]
+
     def test_three_record_ranking_matches_brute_force(self):
         records = [
             KnowledgeRecord(title="r1", contents="drug heart drug"),
@@ -1029,7 +1040,10 @@ class TestDumpIO:
         ("0" * 5000 + "5", 5),
         ("0" * 5000 + "9223372036854775807", 2**63 - 1),
         ("-" + "0" * 5000, 0),
-    ], ids=["5", "int64-max", "minus-zero"])
+        ("\u0660" * 5000 + "\u0665", 5),
+        ("\u0660" * 10 + "\u0665", 5),
+    ], ids=["5", "int64-max", "minus-zero", "arabic-indic-5000-zeros",
+            "arabic-indic-10-zeros"])
     def test_rank_zero_padded_past_thousands_of_digits_loads(self, tmp_path, rank,
                                                              expected):
         # int() refuses strings of over 4,300 digits; the loader reads only
