@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .enrich import PRESETS, Preset, Strategy
-from .textproc import Representation
+from .textproc import Representation, lowercase_words
 
 DATASETS = ("reuters10", "reuters90", "news20", "custom")
 PRESET_NAMES = (*PRESETS, "custom")
@@ -162,6 +162,9 @@ def validate_config(cfg: ExperimentConfig, base_dir: Path | None = None) -> Expe
         raise ConfigError(f"svm_max_epochs must be >= 1, got {cfg.svm_max_epochs}")
     if cfg.k < 1:
         raise ConfigError(f"key 'k': must be >= 1, got {cfg.k}")
+    # the wikiTitle postings hold single words, so a clause of two matches nothing
+    if cfg.title_term and len(lowercase_words(cfg.title_term)) != 1:
+        raise ConfigError(f"key 'title_term': must be one word, got {cfg.title_term!r}")
     # checked for every preset, not only for the custom one that reads them
     for key, parse in (("representation", Representation),
                        ("strategies", _parse_strategies)):

@@ -34,6 +34,7 @@ from .kbindex import (
     QueryClause,
     RangeBody,
     Term,
+    cell_items,
 )
 from .textproc import (
     DELIMITER_CHARS,
@@ -169,8 +170,9 @@ def strategy_outputs(
 ) -> list[tuple[Strategy, EnrichmentOutput]]:
     """Run the preset's strategies in E1, E2, E3 order, each gathering its
     top ``preset.k`` hits' titles, categories and (but for E1) linked
-    concepts, deduplicated in hit order; a document without words gets
-    nothing."""
+    concepts, deduplicated in hit order; a hit's categories and linked
+    concepts are read from the KB's columns at its row. A document without
+    words gets nothing."""
     outputs = []
     for strategy in Strategy:
         if strategy not in preset.strategies:
@@ -179,11 +181,10 @@ def strategy_outputs(
                 if doc.tokens else [])
         titles, categories, linked = [], [], []
         for hit in hits:
-            record = index.get_record(hit.record_title)
-            titles.append(record.title)
-            categories.extend(record.categories)
+            titles.append(hit.record_title)
+            categories.extend(cell_items(index.kb.categories[hit.row]))
             if strategy is not Strategy.E1:
-                linked.extend(record.linked_concepts)
+                linked.extend(cell_items(index.kb.linked_concepts[hit.row]))
         outputs.append((strategy, EnrichmentOutput(
             _dedup(titles), _dedup(categories), _dedup(linked))))
     return outputs

@@ -3,13 +3,11 @@
 Records carry a title, redirects, entity types, categories, linked
 concepts, a bag-of-words contents field, and an integer page rank. The
 index keeps them as columns, one list per field in dump order with a list
-field's items in one '|'-joined cell (``KbColumns``); a ``KnowledgeRecord``
-is made only when a caller asks for one by title, as enrichment does for
-its search hits.
-Queries are flat lists of (occurrence, field, term-or-range) clauses in a
-small query language, e.g.::
-
-    wikiTitle:usa contents:sterling contents:drug -pageRank:[1 TO 5]
+field's items in one '|'-joined cell (``KbColumns``). A search hit carries
+its record's dump row, so enrichment reads a hit's categories and linked
+concepts from their columns by that row (``cell_items`` splits a cell).
+A query (``FieldedQuery``) is a flat list of (occurrence, field,
+term-or-range) clauses, built by ``enrich.strategy_query``.
 
 Scoring is the classic practical vector-space formula: sqrt(tf) times
 squared idf times a field-length norm, multiplied by a coordination
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import unicodedata
 from array import array
 from dataclasses import dataclass, field as dc_field
@@ -108,28 +105,14 @@ class FieldedQuery:
     clauses: list[QueryClause] = dc_field(default_factory=list)
 
 
-@dataclass
-class KnowledgeRecord:
-    title: str
-    redirects: list[str] = dc_field(default_factory=list)
-    entity_types: list[str] = dc_field(default_factory=list)
-    categories: list[str] = dc_field(default_factory=list)
-    linked_concepts: list[str] = dc_field(default_factory=list)
-    contents: str = ""
-    page_rank: int = 0
-
-
 @dataclass(frozen=True)
 class SearchHit:
     record_title: str
     score: float
+    row: int  # the record's row in the dump, where its columns are read
 
 
 class DuplicateTitleError(ValueError):
-    pass
-
-
-class QuerySyntaxError(ValueError):
     pass
 
 
@@ -146,12 +129,13 @@ def normalize_entity_type(item: str) -> str:
     return "".join(item.split()).lower()
 
 
-def _items(cell: str) -> list[str]:
+def cell_items(cell: str) -> list[str]:
+    """The items of a list field's '|'-joined cell; an empty item is none."""
     return [item for item in cell.split("|") if item]
 
 
 def _entity_type_terms(cell: str) -> list[str]:
-    return [normalize_entity_type(item) for item in _items(cell)]
+    return [normalize_entity_type(item) for item in cell_items(cell)]
 
 
 @dataclass(frozen=True)
@@ -173,17 +157,6 @@ class KbColumns:
 
     def __len__(self) -> int:
         return len(self.titles)
-
-    def record(self, row: int) -> KnowledgeRecord:
-        return KnowledgeRecord(
-            title=self.titles[row],
-            redirects=_items(self.redirects[row]),
-            entity_types=_items(self.entity_types[row]),
-            categories=_items(self.categories[row]),
-            linked_concepts=_items(self.linked_concepts[row]),
-            contents=self.contents[row],
-            page_rank=self.page_ranks[row],
-        )
 
 
 # the column each field's terms come from
@@ -254,7 +227,7 @@ class KbIndex:
     construction: per field a term -> row dict, CSR postings of int32
     record ids and int32 term counts, and an int32 token count per record;
     the page ranks are read as an int64 view of their column. The columns
-    come from a dump (``load_kb_dump``).
+    (``kb``) come from a dump (``load_kb_dump``); a hit's row indexes them.
 
     Every built field and the last query's scores are each stored whole,
     so concurrent searches need no locking: two threads may build the same
@@ -263,18 +236,13 @@ class KbIndex:
     hits, exact for one thread, as ``prepare_documents`` searches."""
 
     def __init__(self, kb: KbColumns) -> None:
-        self._kb = kb
+        self.kb = kb
         self._fields: dict[FieldName, _Field] = {}
         self._last_scores: tuple[list[QueryClause], np.ndarray, np.ndarray] | None = None
         self.counts = {"search_calls": 0, "candidates_scored": 0, "hits": 0}
 
     def __len__(self) -> int:
-        return len(self._kb)
-
-    def get_record(self, title: str) -> KnowledgeRecord | None:
-        """The record with this title, made from its columns, or None."""
-        row = self._kb.rows.get(title)
-        return None if row is None else self._kb.record(row)
+        return len(self.kb)
 
     def _field(self, fname: FieldName) -> _Field:
         """The field's postings and token counts, built the first time a
@@ -289,7 +257,7 @@ class KbIndex:
         widened to int32."""
         built = self._fields.get(fname)
         if built is None:
-            column = getattr(self._kb, _COLUMNS[fname])
+            column = getattr(self.kb, _COLUMNS[fname])
             terms_of = _entity_type_terms if fname is FieldName.TYPES else lowercase_words
             # an empty cell, most records' in a sparse field, is not tokenized
             ones, rows = count_rows(terms_of(cell) if cell else () for cell in column)
@@ -317,7 +285,7 @@ class KbIndex:
         last = self._last_scores
         if last is not None and last[0] == query.clauses:
             return last[1], last[2]
-        n = len(self._kb)
+        n = len(self.kb)
         positive = [c for c in query.clauses if c.occur is not Occur.MUST_NOT]
         terms, ranked = [], []
         for c in positive:
@@ -350,7 +318,7 @@ class KbIndex:
         matched = np.bincount(ids, minlength=n)
         candidate = matched > 0
         if ranked:
-            ranks = np.asarray(self._kb.page_ranks, dtype=np.int64)  # a view
+            ranks = np.asarray(self.kb.page_ranks, dtype=np.int64)  # a view
             for clause in ranked:
                 hit = _rank_matches(clause.body, ranks)
                 matched += hit
@@ -367,11 +335,12 @@ class KbIndex:
         coordination factor (matched positive clauses / positive clauses)
         times the summed mass of its matching scored term clauses. A record
         that matches no positive term clause scores 0.0."""
-        row = self._kb.rows[title]  # KeyError for an unknown title
+        row = self.kb.rows[title]  # KeyError for an unknown title
         return float(self._query_scores(query)[1][row])
 
     def search(self, query: FieldedQuery, n: int) -> list[SearchHit]:
-        """Top-n records by score; ties broken by title.
+        """Top-n records by score, each hit with its dump row; ties broken
+        by title.
 
         Candidates are records matching at least one SHOULD or MUST term
         clause; records violating a MUST clause or matching a MUST_NOT
@@ -380,7 +349,7 @@ class KbIndex:
         ``score`` call per candidate, kept for the bench's probe."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        titles, ranks = self._kb.titles, np.asarray(self._kb.page_ranks, dtype=np.int64)
+        titles, ranks = self.kb.titles, np.asarray(self.kb.page_ranks, dtype=np.int64)
         candidates, _ = self._query_scores(query)
         keep = np.ones(len(candidates), dtype=bool)
         for clause in query.clauses:
@@ -401,82 +370,11 @@ class KbIndex:
             # only the records scoring at least the n-th best score can rank
             top = scores >= np.partition(scores, len(ids) - n)[len(ids) - n]
             ids, scores = ids[top], scores[top]
-        hits = sorted(zip(scores.tolist(), map(titles.__getitem__, ids.tolist())),
+        rows = ids.tolist()
+        hits = sorted(zip(scores.tolist(), map(titles.__getitem__, rows), rows),
                       key=lambda hit: (-hit[0], hit[1]))[:n]
         self.counts["hits"] += len(hits)
-        return [SearchHit(title, score) for score, title in hits]
-
-
-_RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s+TO\s+(-?\d+)\s*\]$")
-
-
-def parse_query(text: str) -> FieldedQuery:
-    """Parse the flat query language.
-
-    query := clause+ ; clause := ['-'|'+'] field ':' (term | range) ;
-    range := '[' int 'TO' int ']'. A leading '-' means MUST_NOT, '+'
-    means MUST, nothing means SHOULD. Terms run to the next whitespace
-    and are lowercased with surrounding delimiters stripped.
-    """
-    clauses: list[QueryClause] = []
-    valid_fields = {f.value: f for f in FieldName}
-
-    chunks = [(m.start(), m.group(0)) for m in re.finditer(r"\S+", text)]
-    i = 0
-    while i < len(chunks):
-        start, chunk = chunks[i]
-        i += 1
-        occur = Occur.SHOULD
-        if chunk.startswith("-"):
-            occur, chunk, start = Occur.MUST_NOT, chunk[1:], start + 1
-        elif chunk.startswith("+"):
-            occur, chunk, start = Occur.MUST, chunk[1:], start + 1
-        if ":" not in chunk:
-            raise QuerySyntaxError(
-                f"missing ':' in clause at column {start + 1}: {chunk!r}"
-            )
-        field_name, _, value = chunk.partition(":")
-        if field_name not in valid_fields:
-            raise QuerySyntaxError(
-                f"unknown field {field_name!r} at column {start + 1}"
-            )
-        fname = valid_fields[field_name]
-        if value.startswith("["):
-            # ranges may contain spaces; consume chunks up to the closing bracket
-            while "]" not in value and i < len(chunks):
-                value += " " + chunks[i][1]
-                i += 1
-            m = _RANGE_RE.match(value)
-            if m is None:
-                raise QuerySyntaxError(
-                    f"malformed range {value!r} at column {start + 1}"
-                )
-            if fname is not FieldName.PAGE_RANK:
-                raise QuerySyntaxError(
-                    f"range clause only allowed on pageRank, got {field_name!r}"
-                    f" at column {start + 1}"
-                )
-            body: Term | RangeBody = RangeBody(int(m.group(1)), int(m.group(2)))
-        else:
-            if not value:
-                raise QuerySyntaxError(f"empty term at column {start + 1}")
-            body = Term(normalize_term(value))
-        clauses.append(QueryClause(field=fname, occur=occur, body=body))
-    return FieldedQuery(clauses=clauses)
-
-
-def serialize_query(query: FieldedQuery) -> str:
-    """Canonical single-line text form; inverse of parse_query up to term
-    normalization (term surfaces are emitted verbatim)."""
-    parts = []
-    for clause in query.clauses:
-        prefix = {Occur.SHOULD: "", Occur.MUST: "+", Occur.MUST_NOT: "-"}[clause.occur]
-        if isinstance(clause.body, RangeBody):
-            value = f"[{clause.body.lo} TO {clause.body.hi}]"
-        else:
-            value = clause.body.text
-        parts.append(f"{prefix}{clause.field.value}:{value}")
-    return " ".join(parts)
+        return [SearchHit(title, score, row) for score, title, row in hits]
 
 
 def load_kb_dump(path: str | Path) -> KbColumns:

@@ -12,9 +12,9 @@ import pytest
 
 from kbcat import learn
 from kbcat.enrich import EnrichmentOutput, Preset, Strategy, strategy_outputs
-from kbcat.kbindex import KbIndex, KnowledgeRecord, load_kb_dump
+from kbcat.kbindex import KbIndex, load_kb_dump
 from kbcat.textproc import EntityTag, Gazetteer, TaggedDocument
-from synth import write_kb_dump
+from synth import KnowledgeRecord, write_kb_dump
 
 # A 20-Newsgroups style post used as the golden representation fixture.
 SAMPLE_POST = (

@@ -11,12 +11,12 @@ import numpy as np
 from kbcat.kbindex import (
     FieldedQuery,
     FieldName,
-    KnowledgeRecord,
     Occur,
     RangeBody,
     Term,
 )
 from kbcat.textproc import DELIMITER_CHARS
+from synth import KnowledgeRecord
 
 
 def _split_tokens(text: str) -> list[str]:

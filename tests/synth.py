@@ -13,10 +13,11 @@ uppercase/no-digit filter."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from kbcat.corpus import RawDocument
-from kbcat.kbindex import KnowledgeRecord
+from kbcat.kbindex import KbColumns
 
 CLASSES = ("alpha", "beta", "gamma", "delta")
 PAIR = {"alpha": "beta", "beta": "alpha", "gamma": "delta", "delta": "gamma"}
@@ -168,6 +169,19 @@ def write_corpus_tree(docs: list[RawDocument], root: Path) -> None:
                                     encoding="utf-8")
 
 
+@dataclass
+class KnowledgeRecord:
+    """One KB record as a test writes it into a dump."""
+
+    title: str
+    redirects: list[str] = field(default_factory=list)
+    entity_types: list[str] = field(default_factory=list)
+    categories: list[str] = field(default_factory=list)
+    linked_concepts: list[str] = field(default_factory=list)
+    contents: str = ""
+    page_rank: int = 0
+
+
 def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
     """Write the TAB-separated dump ``kbindex.load_kb_dump`` reads. A record
     the dump would not give back unchanged is refused: an empty title, an
@@ -189,6 +203,23 @@ def write_kb_dump(records: list[KnowledgeRecord], path: Path) -> None:
                 if "\t" in cell or "\n" in cell or "\r" in cell:
                     raise ValueError(f"TAB/newline/CR not allowed in field: {cell!r}")
             fh.write("\t".join(row) + "\n")
+
+
+def read_record(kb: KbColumns, title: str) -> KnowledgeRecord | None:
+    """The record with this title as the loaded columns hold it, or None:
+    the inverse of ``write_kb_dump`` for a record it accepts."""
+    row = kb.rows.get(title)
+    if row is None:
+        return None
+
+    def items(column: list[str]) -> list[str]:
+        return [item for item in column[row].split("|") if item]
+
+    return KnowledgeRecord(
+        title=kb.titles[row], redirects=items(kb.redirects),
+        entity_types=items(kb.entity_types), categories=items(kb.categories),
+        linked_concepts=items(kb.linked_concepts), contents=kb.contents[row],
+        page_rank=kb.page_ranks[row])
 
 
 def write_reuters_sgml(docs: list[RawDocument], path: Path) -> None:

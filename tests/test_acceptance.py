@@ -23,7 +23,6 @@ from kbcat.corpus import SplitHint, SubsetMode, load_reuters_dir, select_categor
 from kbcat.enrich import build_e2_query, filter_e4
 from kbcat.evaluation import accumulate, label_matrix, metric_report, relative_improvement
 from kbcat.experiment import run_experiment
-from kbcat.kbindex import serialize_query
 from kbcat.learn import TrainConfig, train_binary_svm
 from kbcat.porter import porter_stem
 from kbcat.textproc import EntityTag, Gazetteer, Representation, TextResources, represent
@@ -33,6 +32,7 @@ from oracles import (
     svm_primal_objective,
     svm_projected_gradient_oracle,
 )
+from querytext import serialize_query
 from test_enrich import DRUG_STORY, EXPECTED_E2_QUERY
 from test_kbindex import _random_query, _random_record
 from test_learn import _csr, _fixture_battery

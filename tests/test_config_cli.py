@@ -851,6 +851,8 @@ class TestCli:
         "unknown_gazetteer_kind_run",
         "repeated_newid_run",
         "missing_newid_run",
+        "title_term_of_two_words",
+        "title_term_split_at_dots",
         *BAD_METRICS,
         *BAD_RUN_NAMES,
     ])
@@ -878,6 +880,15 @@ class TestCli:
             argv = ["run", "--config", str(cfg_path)]
         elif case == "config_is_directory":
             argv = ["run", "--config", str(tmp_path)]
+        elif case.startswith("title_term"):
+            # the wikiTitle postings hold single words, so such a clause
+            # would match no record
+            term = "Health insurance" if case.endswith("words") else "U.S."
+            cfg_path.write_text(_config_text(separable_corpus, preset="custom",
+                                             strategies="E2", kb_dump=bad_kb,
+                                             title_term=term), encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+            message = f"error: key 'title_term': must be one word, got {term!r}\n"
         elif case == "malformed_dump_enrich_preview":
             cfg_path.write_text(
                 _config_text(separable_corpus, preset="A4", kb_dump=bad_kb),

@@ -15,9 +15,11 @@ from kbcat.enrich import (
     filter_e4,
     strategy_query,
 )
-from kbcat.kbindex import FieldName, KbIndex, KnowledgeRecord, Occur, serialize_query
+from kbcat.kbindex import FieldName, KbIndex, Occur
 from kbcat.textproc import EntityTag, Gazetteer, Representation, TextResources
 from oracles import brute_force_search
+from querytext import serialize_query
+from synth import KnowledgeRecord
 
 # The preprocessed newswire story whose token list drives the query
 # reproduction check; tokens are its whitespace-separated pieces.

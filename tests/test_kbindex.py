@@ -1,4 +1,4 @@
-"""Index construction, query parsing, scoring, search, and dump I/O."""
+"""Index construction, scoring, search, enrichment's reads by row, and dump I/O."""
 
 import hashlib
 import itertools
@@ -12,26 +12,23 @@ import numpy as np
 import pytest
 
 from conftest import kb_index, make_tagged, retrieve
-from kbcat.enrich import Strategy
+from kbcat.enrich import Preset, Strategy, strategy_outputs, strategy_query
 from kbcat.kbindex import (
     DuplicateTitleError,
     FieldedQuery,
     FieldName,
     KbIndex,
-    KnowledgeRecord,
     Occur,
     QueryClause,
-    QuerySyntaxError,
     RangeBody,
     SearchHit,
     Term,
     load_kb_dump,
-    parse_query,
-    serialize_query,
 )
 from kbcat.textproc import EntityTag
 from oracles import _record_field_terms, brute_force_search
-from synth import build_kb, write_kb_dump
+from querytext import parse_query, serialize_query
+from synth import KnowledgeRecord, build_kb, read_record, write_kb_dump
 
 INDEXED_FIELDS = [f for f in FieldName if f is not FieldName.PAGE_RANK]
 
@@ -41,7 +38,7 @@ def field_as_dicts(index: KbIndex, fname: FieldName
     """The field's postings as {term: {title: tf}} and its token counts as
     {title: length}, rebuilt from the index's arrays."""
     field = index._field(fname)
-    titles = index._kb.titles
+    titles = index.kb.titles
     postings = {}
     for term, row in field.rows.items():
         span = slice(field.starts[row], field.starts[row + 1])
@@ -85,7 +82,7 @@ class TestBuildIndex:
                                             "linked_concepts"])
     @pytest.mark.parametrize("item", ["", "a|b", "|"])
     def test_list_item_a_dump_cannot_hold_rejected(self, list_field, item):
-        # such an item would not come back unchanged from get_record
+        # such an item would not come back unchanged from the dump
         record = KnowledgeRecord(title="t", **{list_field: ["ok", item]})
         with pytest.raises(ValueError, match="non-empty and hold no '\\|'"):
             kb_index([record])
@@ -234,6 +231,9 @@ class TestNarrowCounts:
 
 
 class TestParseQuery:
+    """The tests' query text form (tests/querytext.py), in which the golden
+    queries are written, reads as the index's own parser read it."""
+
     def test_single_term_clause(self):
         query = parse_query("contents:drug")
         assert query.clauses == [
@@ -255,18 +255,6 @@ class TestParseQuery:
     def test_parenthesized_term_stripped(self):
         query = parse_query("contents:(milrinone)")
         assert query.clauses[0].body == Term("milrinone")
-
-    def test_missing_colon_names_column(self):
-        with pytest.raises(QuerySyntaxError, match="column 15"):
-            parse_query("contents:drug bare")
-
-    def test_range_on_non_pagerank_rejected(self):
-        with pytest.raises(QuerySyntaxError, match="pageRank"):
-            parse_query("contents:[1 TO 5]")
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(QuerySyntaxError, match="bogus"):
-            parse_query("bogus:x")
 
     def test_serialize_round_trip(self):
         text = "wikiTitle:usa contents:sterling +types:freebase:person -pageRank:[1 TO 5]"
@@ -433,7 +421,7 @@ class TestSearch:
         index = kb_index([KnowledgeRecord(title="r", contents="x", page_rank=1),
                           KnowledgeRecord(title="s", contents="x y", page_rank=2)])
         one = "pageRank:" + "0" * 5000 + "1"
-        assert index.search(parse_query(one), 5) == [SearchHit("r", 0.0)]
+        assert index.search(parse_query(one), 5) == [SearchHit("r", 0.0, 0)]
         hits = index.search(parse_query("contents:x -" + one), 5)
         assert [h.record_title for h in hits] == ["s"]
         hits = index.search(parse_query("contents:x +" + one), 5)
@@ -446,7 +434,7 @@ class TestSearch:
         index = kb_index([KnowledgeRecord(title="r", contents="x", page_rank=5),
                           KnowledgeRecord(title="s", contents="x y", page_rank=2)])
         five = "pageRank:" + "\u0660" * zeros + "\u0665"
-        assert index.search(parse_query(five), 5) == [SearchHit("r", 0.0)]
+        assert index.search(parse_query(five), 5) == [SearchHit("r", 0.0, 0)]
         hits = index.search(parse_query("contents:x -" + five), 5)
         assert [h.record_title for h in hits] == ["s"]
 
@@ -854,27 +842,7 @@ class TestColumns:
         records = make(random.Random(20261019))
         index = kb_index(records)
         assert len(index) == len(records)
-        assert [index.get_record(r.title) for r in records] == records
-
-    def test_load_build_and_search_make_no_record(self, tmp_path, monkeypatch):
-        rng = random.Random(20261019)
-        records = _zipf_kb(rng, 300)
-        queries = ([_zipf_query(rng) for _ in range(30)]
-                   + [_random_query(rng) for _ in range(30)])
-        path = tmp_path / "kb.tsv"
-        write_kb_dump(records, path)
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a KnowledgeRecord was made")
-
-        monkeypatch.setattr(KnowledgeRecord, "__init__", refuse)
-        index = KbIndex(load_kb_dump(path))
-        for fname in INDEXED_FIELDS:
-            index._field(fname)
-        assert sum(map(len, _battery(index, queries))) > 0
-        # the patch holds: asking for a record by title makes one
-        with pytest.raises(AssertionError, match="KnowledgeRecord was made"):
-            index.get_record(records[0].title)
+        assert [read_record(index.kb, r.title) for r in records] == records
 
 
 def _tied_kb(rng: random.Random) -> list[KnowledgeRecord]:
@@ -916,9 +884,55 @@ class TestDumpOrder:
             scores = [[index.score(query, r.title).hex() for r in by_title]
                       for query in queries[::10]]
             results.append((_battery(index, queries), scores,
-                            [index.get_record(r.title) for r in by_title]))
+                            [read_record(index.kb, r.title) for r in by_title]))
         assert results[0] == results[1] == results[2]
         assert results[0][2] == by_title
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: _zipf_kb(rng, 300),
+        _tied_kb,
+        lambda rng: [_random_record(rng, i) for i in range(40)],
+    ], ids=["zipf", "tied", "random"])
+    def test_enrichment_is_independent_of_dump_order(self, make):
+        # enrichment reads a hit's categories and linked concepts at its
+        # row, which differs from one dump order to the next
+        rng = random.Random(20261022)
+        records = make(rng)
+        pool = [word for r in records for word in r.contents.split()] + ["tie", "x"]
+        kinds = [EntityTag.NONE, EntityTag.PERSON, EntityTag.LOCATION,
+                 EntityTag.ORGANIZATION]
+        docs = []
+        for _ in range(30):
+            words = rng.choices(pool, k=rng.randint(1, 30))
+            docs.append(make_tagged(words, [rng.choice(kinds) for _ in words]))
+        presets = [Preset(name="custom", strategies=frozenset(Strategy), k=k,
+                          title_term=title_term)
+                   for k, title_term in ((5, None), (20, "tie"))]
+        by_title = sorted(records, key=lambda r: r.title)
+        shuffled = records[:]
+        random.Random(7).shuffle(shuffled)
+        results = []
+        for order in (by_title, by_title[::-1], shuffled):
+            index = kb_index(order)
+            results.append([strategy_outputs(doc, preset, index)
+                            for preset in presets for doc in docs])
+            hits = [hit for doc in docs for hit in index.search(
+                strategy_query(doc, Strategy.E1, presets[0]), 20)]
+            assert all(index.kb.titles[hit.row] == hit.record_title for hit in hits)
+        assert results[0] == results[1] == results[2]
+        # and each output is its hits' records' fields, read by title
+        by_name = {r.title: r for r in records}
+        pairs = [pair for result in results[0] for pair in result]
+        outputs = [out for _, out in pairs]
+        for strategy, out in pairs:
+            hit_records = [by_name[title] for title in out.titles]
+            assert out.categories == list(dict.fromkeys(
+                c for r in hit_records for c in r.categories))
+            assert out.linked_concepts == ([] if strategy is Strategy.E1 else list(
+                dict.fromkeys(c for r in hit_records for c in r.linked_concepts)))
+        assert sum(bool(out.categories) for out in outputs) > 10
+        if any(r.linked_concepts for r in records):
+            assert sum(bool(out.linked_concepts) for out in outputs) > 10
 
     def test_ties_across_k_rank_by_title(self):
         records = _tied_kb(random.Random(20261021))
@@ -934,18 +948,20 @@ class TestDumpOrder:
 
 
 class TestGetRecord:
+    """A record read back by title from the loaded columns."""
+
     def test_kaiser_categories(self, kb_sample):
         index = kb_index(kb_sample)
-        record = index.get_record("Kaiser Permanente")
+        record = read_record(index.kb, "Kaiser Permanente")
         assert "Hospital networks" in record.categories
 
     def test_health_linked_concepts(self, kb_sample):
         index = kb_index(kb_sample)
-        record = index.get_record("Health insurance in the United States")
+        record = read_record(index.kb, "Health insurance in the United States")
         assert "Congressional Budget Office" in record.linked_concepts
 
     def test_unknown_title(self, kb_sample):
-        assert kb_index(kb_sample).get_record("Nope") is None
+        assert read_record(kb_index(kb_sample).kb, "Nope") is None
 
 
 class TestPostingsConsistency:
@@ -967,7 +983,7 @@ class TestDumpIO:
         write_kb_dump(kb_sample, path)
         index = KbIndex(load_kb_dump(path))
         assert len(index) == len(kb_sample)
-        assert [index.get_record(r.title) for r in kb_sample] == kb_sample
+        assert [read_record(index.kb, r.title) for r in kb_sample] == kb_sample
 
     def test_duplicate_title_names_both_lines(self, tmp_path):
         path = tmp_path / "kb.tsv"
@@ -995,7 +1011,7 @@ class TestDumpIO:
     def test_empty_items_are_no_items(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("t\t1\t|a||b|\t\t\t\tx\n", encoding="utf-8")
-        assert KbIndex(load_kb_dump(path)).get_record("t").redirects == ["a", "b"]
+        assert read_record(load_kb_dump(path), "t").redirects == ["a", "b"]
 
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -1034,7 +1050,7 @@ class TestDumpIO:
         path.write_text("t\t009223372036854775807\t\t\t\t\tc\n", encoding="utf-8")
         kb = load_kb_dump(path)
         assert list(kb.page_ranks) == [2**63 - 1]
-        assert KbIndex(kb).get_record("t").page_rank == 2**63 - 1
+        assert read_record(kb, "t").page_rank == 2**63 - 1
 
     @pytest.mark.parametrize("rank, expected", [
         ("0" * 5000 + "5", 5),
@@ -1052,7 +1068,7 @@ class TestDumpIO:
         path.write_text(f"t\t{rank}\t\t\t\t\tc\n", encoding="utf-8")
         kb = load_kb_dump(path)
         assert list(kb.page_ranks) == [expected]
-        assert KbIndex(kb).get_record("t").page_rank == expected
+        assert read_record(kb, "t").page_rank == expected
 
     def test_byte_order_mark_is_not_part_of_the_first_title(self, tmp_path):
         text = "Alpha\t3\t\t\t\t\tfirst record\nBeta\t1\t\t\t\t\tsecond\n"
@@ -1062,7 +1078,7 @@ class TestDumpIO:
         kb = load_kb_dump(marked)
         assert kb == load_kb_dump(plain)
         index = KbIndex(kb)
-        assert index.get_record("Alpha") == KnowledgeRecord(
+        assert read_record(kb, "Alpha") == KnowledgeRecord(
             title="Alpha", contents="first record", page_rank=3)
         assert [h.record_title for h in index.search(parse_query("wikiTitle:alpha"), 5)] \
             == ["Alpha"]

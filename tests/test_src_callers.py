@@ -9,12 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kbcat"
 
-ALLOWED = {
-    "parse_query": "reads the query language README documents, for queries "
-                   "written by hand",
-    "serialize_query": "writes a query in that language; the acceptance test "
-                       "pins the E2 query's text with it",
-}
+ALLOWED: dict[str, str] = {}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
